@@ -14,11 +14,11 @@ windowed_order`), so they visit frames identically for equal parameters:
   in-memory dataset.
 * :class:`StreamingLoader` -- a producer thread runs batch construction
   on rank workers via the executor layer (:mod:`repro.parallel.
-  executor`), keeping a bounded queue of ready batches ahead of the
-  consumer: descriptor-input assembly (frame reads, neighbor tables,
-  index flattening) overlaps the optimizer's Kalman algebra.  Hit/stall
-  counters and ``data.prefetch`` worker spans make the overlap
-  observable.
+  executor`, under its shared recovery policy), keeping a bounded queue
+  of ready batches ahead of the consumer: descriptor-input assembly
+  (frame reads, neighbor tables, index flattening) overlaps the
+  optimizer's Kalman algebra.  Hit/stall counters and ``data.prefetch``
+  worker spans make the overlap observable.
 
 Construct via :func:`make_loader` (mirrors ``make_optimizer``): it picks
 the class from the options and accepts anything
@@ -30,7 +30,6 @@ from __future__ import annotations
 import queue
 import threading
 import time
-import warnings
 from typing import Iterator, Optional
 
 import numpy as np
@@ -40,23 +39,6 @@ from ..telemetry.trace import current_tracer, span as _span
 from .source import FrameSource, open_source, windowed_order
 
 __all__ = ["BatchLoader", "StreamingLoader", "make_loader"]
-
-
-def _deprecated_dataset_kwarg(source, dataset):
-    """Resolve the renamed first argument of :class:`BatchLoader`."""
-    if dataset is not None:
-        if source is not None:
-            raise TypeError("pass either source or dataset=, not both")
-        warnings.warn(
-            "BatchLoader(dataset=...) is deprecated; pass the source "
-            "positionally or use repro.data.make_loader(source, ...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        source = dataset
-    if source is None:
-        raise TypeError("BatchLoader requires a frame source")
-    return source
 
 
 class BatchLoader:
@@ -71,16 +53,13 @@ class BatchLoader:
 
     def __init__(
         self,
-        source: Optional[FrameSource] = None,
+        source: FrameSource,
         batch_size: int = 1,
         shuffle: bool = True,
         drop_last: bool = True,
         seed: int = 0,
         window: Optional[int] = None,
-        *,
-        dataset: Optional[FrameSource] = None,
     ):
-        source = _deprecated_dataset_kwarg(source, dataset)
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if window is not None and window < 1:
@@ -92,16 +71,6 @@ class BatchLoader:
         self.seed = seed
         self.window = window
         self._epoch = 0
-
-    @property
-    def dataset(self) -> FrameSource:
-        """Deprecated alias of :attr:`source` (pre-FrameSource name)."""
-        warnings.warn(
-            "BatchLoader.dataset is deprecated; use BatchLoader.source",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.source
 
     def __len__(self) -> int:
         n = self.source.n_frames
@@ -179,12 +148,15 @@ class StreamingLoader(BatchLoader):
     counters (was a batch ready the moment the optimizer asked?), a
     ``data.prefetch.wait_s`` histogram of consumer stall time, worker
     ``data.prefetch`` spans merged into an ambient tracer, and
-    :attr:`stats` totals for the benchmark gate.
+    :attr:`stats` totals for the benchmark gate.  After a worker crash
+    the producer rebuilds the group itself (``make_batch`` is pure); a
+    failure that recurs locally (e.g. ``FrameStoreCorrupt``) reaches the
+    consumer as that exception, after the batches queued before it.
     """
 
     def __init__(
         self,
-        source: Optional[FrameSource] = None,
+        source: FrameSource,
         batch_size: int = 1,
         cfg=None,
         shuffle: bool = True,
@@ -194,12 +166,8 @@ class StreamingLoader(BatchLoader):
         executor: "str | None" = None,
         workers: int = 2,
         depth: int = 2,
-        *,
-        dataset: Optional[FrameSource] = None,
     ):
-        super().__init__(
-            source, batch_size, shuffle, drop_last, seed, window, dataset=dataset
-        )
+        super().__init__(source, batch_size, shuffle, drop_last, seed, window)
         if cfg is None:
             raise TypeError(
                 "StreamingLoader needs the descriptor config (cfg=) to "
@@ -221,21 +189,38 @@ class StreamingLoader(BatchLoader):
     def _ensure_executor(self):
         if self._executor is None:
             from ..optim.worker import PrefetchSpec
-            from ..parallel.executor import make_executor
+            from ..parallel.executor import Supervised, make_executor
 
-            ex = make_executor(self.executor_kind, self.workers)
-            ex.start(PrefetchSpec(source=self.source, cfg=self.cfg))
-            self._executor = ex
+            spec = PrefetchSpec(source=self.source, cfg=self.cfg)
+            local = spec.build()  # the fallback: make_batch in this process
+            self._executor = Supervised(
+                make_executor(self.executor_kind, self.workers),
+                spec,
+                lambda rank, method, args, capture: local.run(method, args, capture),
+                client="loader",
+            )
         return self._executor
 
     def _produce(
         self,
         batches: list[np.ndarray],
-        out: "queue.Queue",
+        ready_queue: "queue.Queue",
         stop: threading.Event,
         capture: bool,
     ) -> None:
-        """Producer loop: submit index groups, enqueue results in order."""
+        """Producer loop: submit index groups, enqueue results in order;
+        every item, a failure too, waits for space until the consumer
+        stops."""
+
+        def put(item) -> bool:
+            while not stop.is_set():
+                try:
+                    ready_queue.put(item, timeout=0.1)
+                    return True
+                except queue.Full:
+                    continue
+            return False
+
         ws = self.workers
         try:
             for lo in range(0, len(batches), ws):
@@ -245,27 +230,25 @@ class StreamingLoader(BatchLoader):
                 calls = [("make_batch", (idx,)) for idx in group]
                 calls += [("noop", ())] * (ws - len(group))
                 results = self._executor.submit(calls, capture=capture)
+                self._executor.recover()
                 for idx, res in zip(group, results):
-                    item = ("ok", idx, res.payload, res.telemetry)
-                    while not stop.is_set():
-                        try:
-                            out.put(item, timeout=0.1)
-                            break
-                        except queue.Full:
-                            continue
-                    else:
+                    if not put(("ok", idx, res.payload, res.telemetry)):
                         return
-            while not stop.is_set():
-                try:
-                    out.put(("end",), timeout=0.1)
-                    return
-                except queue.Full:
-                    continue
+            put(("end",))
         except BaseException as exc:  # surfaced in the consumer
+            put(("err", exc))
+
+    @staticmethod
+    def _next(ready_queue: "queue.Queue", producer: threading.Thread):
+        """The next queued item; never waits on a producer that is gone."""
+        while True:
             try:
-                out.put(("err", exc), timeout=1.0)
-            except queue.Full:
-                pass
+                return ready_queue.get(timeout=0.1)
+            except queue.Empty:
+                if not producer.is_alive() and ready_queue.empty():
+                    raise RuntimeError(
+                        "prefetch producer exited without a result"
+                    ) from None
 
     def _merge_telemetry(self, tel, tracer) -> None:
         _metrics.REGISTRY.merge_counters(tel.counters, rank=tel.rank)
@@ -295,11 +278,11 @@ class StreamingLoader(BatchLoader):
         hits = _metrics.REGISTRY.counter("data.prefetch.hits")
         stalls = _metrics.REGISTRY.counter("data.prefetch.stalls")
         wait_h = _metrics.REGISTRY.histogram("data.prefetch.wait_s")
-        out: "queue.Queue" = queue.Queue(maxsize=self.depth * self.workers)
+        ready_queue: "queue.Queue" = queue.Queue(maxsize=self.depth * self.workers)
         stop = threading.Event()
         producer = threading.Thread(
             target=self._produce,
-            args=(batches, out, stop, tracer is not None),
+            args=(batches, ready_queue, stop, tracer is not None),
             name="data-prefetch",
             daemon=True,
         )
@@ -307,19 +290,19 @@ class StreamingLoader(BatchLoader):
         served = 0
         try:
             while served < len(batches):
-                if out.empty():
+                if ready_queue.empty():
                     self.stats["stalls"] += 1
                     stalls.inc()
                     t0 = time.perf_counter()
                     with _span("data.prefetch.wait", served=served):
-                        item = out.get()
+                        item = self._next(ready_queue, producer)
                     waited = time.perf_counter() - t0
                     self.stats["wait_s"] += waited
                     wait_h.observe(waited)
                 else:
                     self.stats["hits"] += 1
                     hits.inc()
-                    item = out.get()
+                    item = self._next(ready_queue, producer)
                 if item[0] == "err":
                     raise item[1]
                 if item[0] == "end":  # producer stopped early
@@ -332,12 +315,7 @@ class StreamingLoader(BatchLoader):
                 self.stats["batches"] += 1
                 yield idx, batch
         finally:
-            stop.set()
-            while True:  # unblock a producer stuck on a full queue
-                try:
-                    out.get_nowait()
-                except queue.Empty:
-                    break
+            stop.set()  # the producer's puts time out and see it
             producer.join(timeout=5.0)
 
     # ------------------------------------------------------------------

@@ -438,7 +438,7 @@ class GradientWorker:
 
 
 #: methods dispatchable through :meth:`PrefetchWorker.run`
-PREFETCH_TASKS = frozenset({"make_batch", "noop"})
+PREFETCH_TASKS = frozenset({"make_batch", "noop", "set_fault"})
 
 
 class PrefetchWorker:
@@ -464,6 +464,7 @@ class PrefetchWorker:
         self.source = source
         self.cfg = cfg
         self.rank = int(rank)
+        self.fault: Optional[FaultInjector] = None
 
     # ------------------------------------------------------------------
     def make_batch(self, indices: np.ndarray) -> DescriptorBatch:
@@ -474,12 +475,17 @@ class PrefetchWorker:
     def noop(self) -> None:
         """Padding task for partial final groups (world_size alignment)."""
 
+    def set_fault(self, fault: Optional[FaultInjector]) -> None:
+        self.fault = fault
+
     # ------------------------------------------------------------------
     def run(
         self, method: str, args: tuple = (), capture: "bool | str" = False
     ) -> TaskResult:
         if method not in PREFETCH_TASKS:
             raise ValueError(f"unknown prefetch task {method!r}")
+        if self.fault is not None:
+            self.fault.check(method, self.rank)
         t0 = time.perf_counter()
         c0 = time.process_time()
         if capture:

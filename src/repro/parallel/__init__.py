@@ -22,6 +22,7 @@ from .executor import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
+    Supervised,
     ThreadExecutor,
     WorkerCrash,
     make_executor,
@@ -47,6 +48,7 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
+    "Supervised",
     "WorkerCrash",
     "make_executor",
     "DistributedFEKF",

@@ -1,33 +1,42 @@
-"""Pluggable rank-worker executors: serial, thread, and process backends.
+"""Pluggable rank-worker executors plus the one crash-recovery policy.
 
-The data-parallel trainer (:class:`~repro.parallel.trainer.DistributedFEKF`)
-expresses one training step as a sequence of *rounds*: every rank runs the
-same :class:`~repro.optim.worker.GradientWorker` task on its own shard,
-and the parent reduces the results.  This module supplies the execution
-substrate for those rounds:
+Three executor clients -- the data-parallel trainer
+(:class:`~repro.parallel.trainer.DistributedFEKF`), the inference service
+(:class:`~repro.serve.InferenceService`) and the prefetching loader
+(:class:`~repro.data.StreamingLoader`) -- run rank workers (gradient,
+predict and prefetch workers) through the backends defined here:
 
 * :class:`SerialExecutor` -- every rank's worker runs in the calling
-  thread, one after another.  Today's deterministic default; zero
+  thread, one after another.  The deterministic default; zero
   concurrency hazards, real per-rank replicas.
 * :class:`ThreadExecutor` -- one pool thread per rank.  The gradient math
   bottoms out in BLAS kernels that release the GIL, so shard compute
   overlaps on a multi-core host with zero serialization cost for the
   shard payloads (shared address space).
 * :class:`ProcessExecutor` -- one persistent worker process per rank,
-  each holding its own model replica.  Per-step traffic is the shard
-  (once) plus the per-update weight *delta* broadcast -- mirroring the
-  paper's Sec. 3.3 argument that only gradients ever travel, never P.
+  each holding its own replica.  Per-step traffic is the shard (once)
+  plus the per-update weight *delta* broadcast -- mirroring the paper's
+  Sec. 3.3 argument that only gradients ever travel, never P.
 
 All three speak the same protocol (``start`` / ``submit`` / ``broadcast``
 / ``heal`` / ``close``) and, for a fixed seed, produce bit-identical
-reduced gradients: the per-rank computation is a pure function of
-(weights, shard) and the parent always consumes results in rank order.
+results: the per-rank computation is a pure function of its inputs and
+the parent always consumes results in rank order.
 
-Crash robustness: a task that raises inside a worker is retried once on
-the same rank; a second failure (or a dead worker process) surfaces as
-:class:`WorkerCrash`, which the trainer turns into a serial fallback for
-the remainder of the step -- a step is never lost.  ``heal`` respawns
-dead ranks and re-syncs every replica from the parent's weights.
+Recovery policy -- one implementation for every client; a worker crash
+costs wall time, never a step, a batch or the run.  Each step is counted
+with a ``client`` label (``trainer`` / ``serve`` / ``loader``):
+
+1. *Retry* (``parallel.worker_retries``): :meth:`Executor.submit` reruns
+   a task that raised once on its rank; a second failure or a dead worker
+   process raises :class:`WorkerCrash`.
+2. *Fallback* (``parallel.serial_fallbacks``): under :class:`Supervised`
+   the first crash switches that call, and every later one, to the
+   client's local bit-identical ``fallback(rank, method, args, capture)``.
+3. *Heal* (``parallel.executor_heals``): at its next consistent point the
+   client calls :meth:`Supervised.recover`, which respawns dead ranks,
+   pushes the weights and leaves the fallback.  If the heal raises, the
+   pool is closed and the fallback serves for good (counted once).
 
 The default backend is selected by the ``REPRO_EXECUTOR`` environment
 variable (``serial`` / ``thread`` / ``process``; unset means serial), so
@@ -40,11 +49,11 @@ import multiprocessing as mp
 import os
 from abc import ABC, abstractmethod
 from concurrent import futures
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from ..optim.worker import GradientWorker, TaskResult, WorkerSpec
+from ..optim.worker import TaskResult
 from ..telemetry import metrics as _metrics
 
 __all__ = [
@@ -55,6 +64,7 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
+    "Supervised",
     "make_executor",
 ]
 
@@ -73,31 +83,27 @@ class WorkerCrash(RuntimeError):
         self.reason = reason
 
 
-def _run_with_retry(
-    worker: GradientWorker, rank: int, method: str, args: tuple, capture: bool
-) -> TaskResult:
-    """One in-process task attempt plus a single retry; the retry is
-    counted so robustness tests can assert it happened."""
+def _try_run(worker, method: str, args: tuple, capture) -> "TaskResult | Exception":
+    """One in-process task attempt; a raised exception is returned."""
     try:
         return worker.run(method, args, capture)
-    except Exception as first:
-        _metrics.REGISTRY.counter("parallel.worker_retries").inc()
-        try:
-            return worker.run(method, args, capture)
-        except Exception as second:
-            raise WorkerCrash(rank, method, repr(second)) from first
+    except Exception as exc:
+        return exc
 
 
 class Executor(ABC):
-    """One :class:`GradientWorker` per rank plus a dispatch protocol.
+    """One worker per rank plus a dispatch protocol.
 
     ``submit`` takes one ``(method, args)`` call per rank and returns the
     rank-ordered :class:`TaskResult` list; ``broadcast`` sends the same
-    call to every rank.  Both raise :class:`WorkerCrash` when a rank
-    fails twice.
+    call to every rank.  A task that raises is retried once on its rank;
+    both raise :class:`WorkerCrash` when a rank fails twice or dies.
+    Backends implement a single attempt (:meth:`_attempt`).
     """
 
     name = "abstract"
+    #: ``client`` label of the retry counter (set by :class:`Supervised`)
+    client = "none"
 
     def __init__(self, world_size: int):
         if world_size < 1:
@@ -107,31 +113,64 @@ class Executor(ABC):
 
     # ------------------------------------------------------------------
     @abstractmethod
-    def start(self, spec: WorkerSpec) -> None:
+    def start(self, spec) -> None:
         """Build/spawn one worker per rank from ``spec``."""
 
     @abstractmethod
-    def submit(
-        self, calls: Sequence[tuple[str, tuple]], capture: bool = False
-    ) -> list[TaskResult]:
-        """Dispatch one ``(method, args)`` call per rank; rank order out."""
+    def _attempt(self, calls: list, capture) -> list:
+        """Run every ``(rank, method, args)`` call once, in parallel where
+        the backend can.  A task that raised comes back as its exception;
+        a rank that cannot run (dead process) as a :class:`WorkerCrash`."""
 
     @abstractmethod
     def close(self) -> None:
         """Tear down workers (idempotent)."""
 
     # ------------------------------------------------------------------
+    def submit(
+        self, calls: Sequence[tuple[str, tuple]], capture: "bool | str" = False
+    ) -> list[TaskResult]:
+        """Dispatch one ``(method, args)`` call per rank; rank order out.
+        Every rank finishes before a crash surfaces (no straggler races
+        the caller's recovery)."""
+        self._check_calls(calls)
+        results: list[Optional[TaskResult]] = [None] * self.world_size
+        pending = [(rank, method, args) for rank, (method, args) in enumerate(calls)]
+        crash: Optional[WorkerCrash] = None
+        for attempt in range(2):
+            retry = []
+            for call, out in zip(pending, self._attempt(pending, capture)):
+                if isinstance(out, TaskResult):
+                    results[call[0]] = out
+                elif attempt == 0 and not isinstance(out, WorkerCrash):
+                    retry.append(call)
+                elif crash is None:
+                    crash = out if isinstance(out, WorkerCrash) else WorkerCrash(
+                        call[0], call[1], repr(out)
+                    )
+            if not retry:
+                break
+            _metrics.REGISTRY.counter(
+                "parallel.worker_retries", client=self.client
+            ).inc(len(retry))
+            pending = retry
+        if crash is not None:
+            raise crash
+        return results
+
     def broadcast(self, method: str, *args, capture: bool = False) -> list[TaskResult]:
         """Run the same call on every rank (e.g. the weight-delta sync)."""
         return self.submit([(method, args)] * self.world_size, capture=capture)
 
-    def heal(self, spec: WorkerSpec, weights: np.ndarray) -> None:
+    def heal(self, spec, weights: Optional[np.ndarray] = None) -> None:
         """Restore every rank to a healthy, bit-identical state: respawn
-        whatever died and push the parent's full weight vector."""
+        whatever died and push the parent's ``weights`` (workers without
+        weights, e.g. prefetch ranks, pass ``None``)."""
         self._respawn_dead(spec)
-        self.broadcast("set_weights", weights)
+        if weights is not None:
+            self.broadcast("set_weights", weights)
 
-    def _respawn_dead(self, spec: WorkerSpec) -> None:
+    def _respawn_dead(self, spec) -> None:
         """Backends with mortal workers (processes) override this."""
 
     def _check_calls(self, calls: Sequence[tuple[str, tuple]]) -> None:
@@ -168,18 +207,14 @@ class SerialExecutor(Executor):
 
     def __init__(self, world_size: int):
         super().__init__(world_size)
-        self.workers: list[GradientWorker] = []
+        self.workers: list = []
 
-    def start(self, spec: WorkerSpec) -> None:
+    def start(self, spec) -> None:
         self.workers = [spec.build(rank=r) for r in range(self.world_size)]
         self._started = True
 
-    def submit(self, calls, capture=False):
-        self._check_calls(calls)
-        return [
-            _run_with_retry(w, r, method, args, capture)
-            for r, (w, (method, args)) in enumerate(zip(self.workers, calls))
-        ]
+    def _attempt(self, calls, capture):
+        return [_try_run(self.workers[r], m, a, capture) for r, m, a in calls]
 
     def close(self) -> None:
         self.workers = []
@@ -197,37 +232,24 @@ class ThreadExecutor(Executor):
 
     def __init__(self, world_size: int):
         super().__init__(world_size)
-        self.workers: list[GradientWorker] = []
+        self.workers: list = []
         self._pool: Optional[futures.ThreadPoolExecutor] = None
 
-    def start(self, spec: WorkerSpec) -> None:
+    def start(self, spec) -> None:
         self.workers = [spec.build(rank=r) for r in range(self.world_size)]
         self._pool = futures.ThreadPoolExecutor(
             max_workers=self.world_size, thread_name_prefix="fekf-rank"
         )
         self._started = True
 
-    def submit(self, calls, capture=False):
-        self._check_calls(calls)
+    def _attempt(self, calls, capture):
         fs = [
-            self._pool.submit(_run_with_retry, w, r, method, args, capture)
-            for r, (w, (method, args)) in enumerate(zip(self.workers, calls))
+            self._pool.submit(_try_run, self.workers[r], m, a, capture)
+            for r, m, a in calls
         ]
-        # wait for EVERY future before surfacing a crash -- a straggler
-        # task left running would race the caller's fallback/heal work --
-        # and collect in rank order, not completion order (determinism of
+        # collect in rank order, not completion order (determinism of
         # the reduction)
-        futures.wait(fs)
-        results, crash = [], None
-        for f in fs:
-            try:
-                results.append(f.result())
-            except WorkerCrash as exc:
-                crash = crash or exc
-                results.append(None)
-        if crash is not None:
-            raise crash
-        return results
+        return [f.result() for f in fs]
 
     def close(self) -> None:
         if self._pool is not None:
@@ -237,7 +259,7 @@ class ThreadExecutor(Executor):
         self._started = False
 
 
-def _process_main(conn, spec: WorkerSpec, rank: int) -> None:
+def _process_main(conn, spec, rank: int) -> None:
     """Worker-process loop: build a replica once, serve tasks until EOF.
 
     Exceptions raised by a task are reported back as ``("err", reason)``
@@ -266,10 +288,9 @@ class ProcessExecutor(Executor):
 
     Each process builds its replica once and then receives only task
     messages -- for a training step that is the shard (once) and the
-    per-update weight deltas, never the model and never P.  A rank whose
-    task raises is retried in place; a rank whose *process* dies is
-    unrecoverable within the round (``WorkerCrash``) and is respawned by
-    ``heal``.
+    per-update weight deltas, never the model and never P.  A task that
+    raises leaves its process alive for the retry; a rank whose *process*
+    dies is a :class:`WorkerCrash` at once and is respawned by ``heal``.
     """
 
     name = "process"
@@ -284,7 +305,7 @@ class ProcessExecutor(Executor):
         self._dead: set[int] = set()
 
     # ------------------------------------------------------------------
-    def _spawn(self, spec: WorkerSpec, rank: int) -> None:
+    def _spawn(self, spec, rank: int) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_process_main,
@@ -298,7 +319,7 @@ class ProcessExecutor(Executor):
         self._conns[rank] = parent_conn
         self._dead.discard(rank)
 
-    def start(self, spec: WorkerSpec) -> None:
+    def start(self, spec) -> None:
         self._procs = [None] * self.world_size
         self._conns = [None] * self.world_size
         self._dead = set()
@@ -331,52 +352,29 @@ class ProcessExecutor(Executor):
         self._dead.add(rank)
         _metrics.REGISTRY.counter("parallel.worker_deaths").inc()
 
-    def submit(self, calls, capture=False):
-        self._check_calls(calls)
+    def _attempt(self, calls, capture):
         # overlap: post every rank's task before collecting any result;
         # every successfully sent task must also be received (even after
         # another rank crashed), or the pipe protocol would desync
-        crash: Optional[WorkerCrash] = None
-        sent = [False] * self.world_size
-        for rank, (method, args) in enumerate(calls):
+        outs: dict[int, Any] = {}
+        sent = []
+        for rank, method, args in calls:
             try:
                 self._send(rank, (method, args, capture))
-                sent[rank] = True
+                sent.append((rank, method))
             except WorkerCrash as exc:
-                crash = crash or exc
-        results: list[Optional[TaskResult]] = [None] * self.world_size
-        failed: list[int] = []
-        for rank, (method, _args) in enumerate(calls):
-            if not sent[rank]:
-                continue
+                outs[rank] = exc
+        for rank, method in sent:
             try:
                 status, payload = self._recv(rank, method)
             except WorkerCrash as exc:
-                crash = crash or exc
+                outs[rank] = exc
                 continue
-            if status == "ok":
-                results[rank] = payload
-            else:
-                failed.append(rank)
-        for rank in failed:
-            method, args = calls[rank]
-            _metrics.REGISTRY.counter("parallel.worker_retries").inc()
-            try:
-                self._send(rank, (method, args, capture))
-                status, payload = self._recv(rank, method)
-            except WorkerCrash as exc:
-                crash = crash or exc
-                continue
-            if status != "ok":
-                crash = crash or WorkerCrash(rank, method, str(payload))
-                continue
-            results[rank] = payload
-        if crash is not None:
-            raise crash
-        return results
+            outs[rank] = payload if status == "ok" else RuntimeError(payload)
+        return [outs[rank] for rank, _, _ in calls]
 
     # ------------------------------------------------------------------
-    def _respawn_dead(self, spec: WorkerSpec) -> None:
+    def _respawn_dead(self, spec) -> None:
         for rank in range(self.world_size):
             proc = self._procs[rank]
             if rank in self._dead or proc is None or not proc.is_alive():
@@ -412,6 +410,89 @@ class ProcessExecutor(Executor):
         self._conns = []
         self._dead = set()
         self._started = False
+
+
+class Supervised:
+    """An executor under the recovery policy (module docstring, steps 2-3).
+
+    Speaks the executor protocol, so a client holds it in place of the
+    bare executor and supplies only ``fallback``: its local reproduction
+    of one rank's task (state tasks may return an empty result).  With
+    ``executor=None`` the fallback always serves -- the state a failed
+    heal leaves behind.
+    """
+
+    def __init__(
+        self,
+        executor: Optional[Executor],
+        spec,
+        fallback: Callable[[int, str, tuple, Any], TaskResult],
+        client: str,
+    ):
+        if executor is not None:
+            executor.client = client
+            executor.start(spec)
+        self.executor = executor
+        self.name = executor.name if executor is not None else "fallback"
+        self.world_size = executor.world_size if executor is not None else 1
+        self.spec = spec
+        self.fallback = fallback
+        self.client = client
+        self.degraded = False
+        #: degraded-mode entries over this supervisor's life
+        self.fallbacks = 0
+
+    def submit(
+        self, calls: Sequence[tuple[str, tuple]], capture: "bool | str" = False
+    ) -> list[TaskResult]:
+        """The executor's results or, from a crash until :meth:`recover`,
+        the fallback's."""
+        if self.executor is not None and not self.degraded:
+            try:
+                return self.executor.submit(calls, capture=capture)
+            except WorkerCrash:
+                self.degraded = True
+                self.fallbacks += 1
+                _metrics.REGISTRY.counter(
+                    "parallel.serial_fallbacks", client=self.client
+                ).inc()
+        return [
+            self.fallback(rank, method, args, capture)
+            for rank, (method, args) in enumerate(calls)
+        ]
+
+    def broadcast(self, method: str, *args, capture: bool = False) -> list[TaskResult]:
+        return self.submit([(method, args)] * self.world_size, capture=capture)
+
+    def recover(self, weights: Optional[np.ndarray] = None) -> bool:
+        """Heal a degraded pool (no-op otherwise); True when it healed."""
+        if not self.degraded or self.executor is None:
+            return False
+        try:
+            self.executor.heal(self.spec, weights)
+        except Exception:
+            self.executor.close()
+            self.executor = None
+            return False
+        self.degraded = False
+        _metrics.REGISTRY.counter(
+            "parallel.executor_heals", client=self.client
+        ).inc()
+        return True
+
+    def inject_fault(self, rank: int, fault) -> None:
+        """Install a :class:`~repro.optim.worker.FaultInjector` on one
+        rank (robustness tests; the one hook for every client)."""
+        if self.executor is None:
+            raise RuntimeError(f"{self.client} has no worker pool")
+        self.executor.submit(
+            [("set_fault", (fault if r == rank else None,))
+             for r in range(self.world_size)]
+        )
+
+    def close(self) -> None:
+        if self.executor is not None:
+            self.executor.close()
 
 
 _BACKENDS = {

@@ -18,11 +18,10 @@ serially in-process (default), on worker threads, or in persistent worker
 processes -- all bit-identical, because per-rank compute is a pure
 function of (weights, shard) and results are reduced in rank order.
 
-Robustness: a rank that fails a task twice surfaces as
-:class:`WorkerCrash`; the trainer then finishes the *current step* with a
-serial scratch worker (bit-identical -- the shared force graph is rebuilt
-at the snapshotted post-energy weights) and heals the executor before the
-next step.  A crash costs wall time, never a training step.
+Robustness follows the recovery policy of :mod:`repro.parallel.executor`:
+after a crash the step finishes on a serial scratch worker (bit-identical
+-- the shared force graph is rebuilt at the snapshotted post-energy
+weights) and the pool heals at the end of the step.
 
 Two clocks are reported per step:
 
@@ -44,7 +43,6 @@ from ..model.network import DeePMD
 from ..optim.ekf import FEKF
 from ..optim.kalman import KalmanConfig, KalmanState
 from ..optim.worker import (
-    FaultInjector,
     GradientWorker,
     ShardResult,
     TaskResult,
@@ -54,7 +52,7 @@ from ..optim.worker import (
 from ..telemetry import metrics as _metrics
 from ..telemetry.trace import current_tracer, span as _span
 from .comm import CostModel, SimCommunicator
-from .executor import Executor, WorkerCrash, make_executor
+from .executor import Executor, Supervised, make_executor
 from .topology import ClusterSpec, cluster_for_gpus, cost_model_for
 
 
@@ -84,7 +82,8 @@ class DistributedFEKF:
     Exposes the same ``step_batch`` protocol as the serial optimizers, so
     it plugs straight into :class:`repro.train.Trainer`.  ``executor``
     selects the backend: ``"serial"`` / ``"thread"`` / ``"process"``, an
-    :class:`Executor` instance, or ``None`` to consult ``$REPRO_EXECUTOR``.
+    :class:`Executor` instance, or ``None`` to consult ``$REPRO_EXECUTOR``;
+    the :attr:`executor` attribute holds it under :class:`Supervised`.
     """
 
     name = "DistributedFEKF"
@@ -121,16 +120,19 @@ class DistributedFEKF:
         self._spec = WorkerSpec(
             model=model, fused_env=fused_env, compiled=self._local.compiled
         )
-        self.executor = make_executor(executor, self.world_size)
-        self.executor.start(self._spec)
+        self.executor = Supervised(
+            make_executor(executor, self.world_size),
+            self._spec,
+            self._fallback_call,
+            client="trainer",
+        )
         self.timing = StepTiming()
         self.verify_replicas = verify_replicas
         self._shadow: KalmanState | None = (
             self._local.kalman.clone() if verify_replicas else None
         )
         self.step_count = 0
-        # per-step fallback state (see _round / _fallback_call)
-        self._step_fallback = False
+        # per-step fallback state (see _fallback_call)
         self._fb_worker: GradientWorker | None = None
         self._fb_graphs: dict[int, object] = {}
         self._graph_weights: np.ndarray | None = None
@@ -168,19 +170,8 @@ class DistributedFEKF:
     def sync_workers(self) -> None:
         """Push the parent's full weight vector to every rank replica."""
         w = self.model.params.flatten()
-        try:
-            self.executor.broadcast("set_weights", w)
-        except WorkerCrash:
-            _metrics.REGISTRY.counter("parallel.executor_heals").inc()
-            self.executor.heal(self._spec, w)
-
-    def inject_fault(self, rank: int, fault: FaultInjector) -> None:
-        """Install a fault injector on one rank (robustness tests)."""
-        calls = [
-            ("set_fault", (fault if r == rank else None,))
-            for r in range(self.world_size)
-        ]
-        self.executor.submit(calls)
+        self.executor.broadcast("set_weights", w)
+        self.executor.recover(w)
 
     def close(self) -> None:
         """Tear down the executor's workers (idempotent)."""
@@ -197,7 +188,7 @@ class DistributedFEKF:
         return [batch.frame_slice(int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:])]
 
     # ------------------------------------------------------------------
-    # executor rounds with serial fallback
+    # worker telemetry and the serial fallback
     # ------------------------------------------------------------------
     def _merge_telemetry(self, results: list[TaskResult]) -> float:
         """Fold worker-local telemetry into the parent registry/tracer;
@@ -221,35 +212,11 @@ class DistributedFEKF:
                 profiler.emit_foreign(tel.ops, rank=tel.rank, pid=tel.pid)
         return max_wall
 
-    def _round(
-        self, calls: list[tuple[str, tuple]], capture: bool
-    ) -> list[TaskResult]:
-        """Run one call per rank; on a :class:`WorkerCrash` switch the
-        remainder of the step to the serial scratch worker -- the step
-        always completes, with bit-identical results."""
-        if not self._step_fallback:
-            try:
-                return self.executor.submit(calls, capture=capture)
-            except WorkerCrash:
-                _metrics.REGISTRY.counter("parallel.serial_fallbacks").inc()
-                self._step_fallback = True
-        worker = self._fb_worker
-        if worker is None:
-            worker = self._fb_worker = self._spec.build()
-        return [
-            self._fallback_call(worker, rank, method, args, capture)
-            for rank, (method, args) in enumerate(calls)
-        ]
-
     def _fallback_call(
-        self,
-        worker: GradientWorker,
-        rank: int,
-        method: str,
-        args: tuple,
-        capture: bool,
+        self, rank: int, method: str, args: tuple, capture: bool
     ) -> TaskResult:
-        """Reproduce one rank's task on the scratch worker.
+        """Reproduce one rank's task on the serial scratch worker (the
+        executor's fallback).
 
         State tasks are no-ops (the parent already holds the canonical
         state; dead replicas are healed wholesale after the step), and
@@ -257,16 +224,14 @@ class DistributedFEKF:
         per rank at the snapshotted post-energy weights, which is exactly
         where the live workers built theirs.
         """
-        if method == "energy_task":
+        worker = self._fb_worker
+        if worker is None:
+            worker = self._fb_worker = self._spec.build()
+        if method == "energy_task" or (method == "force_task" and args[1]):
             worker.set_weights(self.model.params.flatten())
             worker.set_shard(self._shard_cache[rank])
-            return worker.run("energy_task", (), capture)
-        if method == "force_task":
-            group, fresh = args
-            if fresh:
-                worker.set_weights(self.model.params.flatten())
-                worker.set_shard(self._shard_cache[rank])
-                return worker.run("force_task", (group, True), capture)
+            return worker.run(method, args, capture)
+        if method == "force_task":  # on the shared graph
             if rank not in self._fb_graphs:
                 worker.set_weights(self._graph_weights)
                 worker.set_shard(self._shard_cache[rank])
@@ -274,8 +239,8 @@ class DistributedFEKF:
                 self._fb_graphs[rank] = worker.graph
             worker.set_shard(self._shard_cache[rank])
             worker.graph = self._fb_graphs[rank]
-            return worker.run("force_task", (group, False), capture)
-        # set_shard / apply_delta / graph_task / set_fault: nothing to do
+            return worker.run(method, args, capture)
+        # set_shard / set_weights / apply_delta / graph_task: nothing to do
         return TaskResult(payload=None, telemetry=WorkerTelemetry(rank=rank))
 
     # ------------------------------------------------------------------
@@ -294,7 +259,9 @@ class DistributedFEKF:
         abe = self.comm.allreduce_scalar([r.abe_sum for r in locals_]) / total
         return reduced[0], abe
 
-    def _kf_update(self, g: np.ndarray, abe: float, scale: float) -> np.ndarray:
+    def _sync_delta(self, g: np.ndarray, abe: float, scale: float) -> None:
+        """One Kalman update on the parent, then broadcast the weight
+        delta so every replica tracks it."""
         t0 = time.perf_counter()
         with _span("parallel.kalman"):
             dw = self._local.kalman.update(g, abe, scale)
@@ -306,26 +273,13 @@ class DistributedFEKF:
             if self._shadow.checksum() != self._local.kalman.checksum():
                 raise AssertionError("P replica checksums diverged")
         self._local.apply_increment(dw)
-        return dw
-
-    def _sync(self, dw: np.ndarray) -> None:
-        """Broadcast the weight delta so every replica tracks the parent
-        (skipped during fallback: heal() re-syncs wholesale afterwards)."""
-        if self._step_fallback:
-            return
-        try:
-            results = self.executor.broadcast("apply_delta", dw)
-            self._merge_telemetry(results)
-        except WorkerCrash:
-            _metrics.REGISTRY.counter("parallel.serial_fallbacks").inc()
-            self._step_fallback = True
+        self._merge_telemetry(self.executor.broadcast("apply_delta", dw))
 
     # ------------------------------------------------------------------
     def step_batch(self, batch: DescriptorBatch) -> dict[str, float]:
         step_t0 = time.perf_counter()
         shards = self._shards(batch)
         self._shard_cache = shards
-        self._step_fallback = False
         self._fb_graphs = {}
         self._graph_weights = None
         bs = batch.batch_size
@@ -338,16 +292,19 @@ class DistributedFEKF:
             capture = "profile"
 
         # ---- distribute shards ---------------------------------------
-        results = self._round([("set_shard", (s,)) for s in shards], False)
-        self._merge_telemetry(results)
+        self._merge_telemetry(
+            self.executor.submit([("set_shard", (s,)) for s in shards])
+        )
 
         # ---- energy update -------------------------------------------
         with _span("parallel.compute", kind="energy", ranks=len(shards)):
-            results = self._round([("energy_task", ())] * self.world_size, capture)
+            results = self.executor.submit(
+                [("energy_task", ())] * self.world_size, capture
+            )
             self.timing.compute_s += self._merge_telemetry(results)
         with _span("parallel.comm", kind="energy"):
             g_mean, abe = self._allreduce_gradient([r.payload for r in results], bs)
-        self._sync(self._kf_update(g_mean, abe, scale))
+        self._sync_delta(g_mean, abe, scale)
 
         # ---- force updates -------------------------------------------
         groups = self._local.force_groups(batch.n_atoms)
@@ -358,14 +315,14 @@ class DistributedFEKF:
             # graph bit-identically after a mid-step crash
             self._graph_weights = self.model.params.flatten()
             with _span("parallel.compute", kind="force_graph", ranks=len(shards)):
-                results = self._round(
+                results = self.executor.submit(
                     [("graph_task", ())] * self.world_size, capture
                 )
                 self.timing.compute_s += self._merge_telemetry(results)
         f_abes = []
         for group in groups:
             with _span("parallel.compute", kind="force", ranks=len(shards)):
-                results = self._round(
+                results = self.executor.submit(
                     [("force_task", (group, fresh))] * self.world_size, capture
                 )
                 self.timing.compute_s += self._merge_telemetry(results)
@@ -373,12 +330,10 @@ class DistributedFEKF:
                 g_mean, abe = self._allreduce_gradient(
                     [r.payload for r in results], bs * len(group) * 3
                 )
-            self._sync(self._kf_update(g_mean, abe, scale))
+            self._sync_delta(g_mean, abe, scale)
             f_abes.append(abe)
 
-        if self._step_fallback:
-            _metrics.REGISTRY.counter("parallel.executor_heals").inc()
-            self.executor.heal(self._spec, self.model.params.flatten())
+        self.executor.recover(self.model.params.flatten())
         self.timing.comm_s += self.comm.modeled_time_s - comm_t0
         self.timing.wall_s += time.perf_counter() - step_t0
         self.timing.steps += 1

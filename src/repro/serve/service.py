@@ -25,21 +25,22 @@ Hot swap
 bumps the monotonic ``model_version``, records the payload for the lazy
 worker broadcast, and purges the prediction cache.  The batcher
 snapshots ``(version, payload)`` *once per micro-batch* and syncs
-workers before dispatch, so every batch -- and therefore every response
--- is computed entirely under a single version; requests in flight when
-``swap`` lands simply drain under the version they were dispatched with.
-Every :class:`~repro.model.Prediction` carries the version that produced
-it, which is what the swap tests assert on.
+workers before dispatch, so every response is computed entirely under a
+single version; requests in flight when ``swap`` lands simply drain
+under the version they were dispatched with.  Every
+:class:`~repro.model.Prediction` carries the version that produced it,
+which is what the swap tests assert on.
 
 Degradation
 -----------
 Submissions beyond ``max_queue`` are rejected with
 :class:`ServeOverloaded` (backpressure, never unbounded memory); a
 request that waits longer than its timeout raises :class:`ServeTimeout`
-at the caller and is skipped by the batcher; a rank that crashes twice
-(:class:`~repro.parallel.executor.WorkerCrash`) triggers ``heal`` plus a
-serial fallback through the local session -- the batch is never lost,
-mirroring the data-parallel trainer's semantics.
+at the caller and is skipped by the batcher.  Worker crashes follow the
+shared recovery policy of :mod:`repro.parallel.executor`: the fallback
+predicts through the local session under the swap lock (stamping the
+version whose weights computed it) and the pool heals after the batch --
+a batch is never lost.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ from ..model.session import (
     frames_to_batch,
 )
 from ..analysis.concurrency import Guarded, TrackedRLock
-from ..parallel.executor import Executor, WorkerCrash, make_executor
+from ..optim.worker import TaskResult, WorkerTelemetry
+from ..parallel.executor import Supervised, make_executor
 from ..telemetry import metrics as _metrics
 from ..telemetry.metrics import Histogram
 from ..telemetry.monitor import HeartbeatRegistry, SlidingHistogram, WindowedRate
@@ -128,16 +130,15 @@ class InferenceService(InferenceSession):
         # swap-lock nesting, and Guarded fields declare their guard
         self._cond_lock = TrackedRLock("serve.batch")
         self._cond = threading.Condition(self._cond_lock)
-        # reentrant: _process holds it across the worker sync, whose
-        # crash path re-enters via _heal
+        # reentrant: the worker sync and heal run under it (_process)
         self._swap_lock = TrackedRLock("serve.swap")
         self._queue: list[_Request] = []
         self._stopping = False
         self._drain = True
         self._started = False
         self._thread: Optional[threading.Thread] = None
-        self._executor: Optional[Executor] = None
-        self._spec: Optional[PredictSpec] = None
+        #: the rank pool under the shared recovery policy (set by start)
+        self._executor: Optional[Supervised] = None
         #: swap payload not yet broadcast to workers (lazy sync)
         self._pending_state = Guarded(None, self._swap_lock,
                                       name="serve.pending_state")
@@ -165,7 +166,7 @@ class InferenceService(InferenceSession):
         self.heartbeats = HeartbeatRegistry()
         self._counts = {
             "requests": 0, "responses": 0, "batches": 0, "cache_hits": 0,
-            "timeouts": 0, "rejected": 0, "fallbacks": 0,
+            "timeouts": 0, "rejected": 0,
         }
         self._ambient_tracer: Optional[Tracer] = None
         self._loop_tracer: Optional[Tracer] = None
@@ -199,17 +200,19 @@ class InferenceService(InferenceSession):
         if models is None:
             model = getattr(self._session, "model", None)
             models = None if model is None else [model]
-        if models is not None:
-            self._spec = PredictSpec(
-                models=list(models), fused_env=self.config.fused_env
+        with self._swap_lock:
+            # replicas copy the session's *current* models; with none to
+            # replicate the fallback always serves
+            cfg = self.config
+            self._executor = Supervised(
+                None if models is None
+                else make_executor(cfg.executor, cfg.world_size),
+                None if models is None
+                else PredictSpec(models=list(models), fused_env=cfg.fused_env),
+                self._fallback,
+                client="serve",
             )
-            with self._swap_lock:
-                self._executor = make_executor(
-                    self.config.executor, self.config.world_size
-                )
-                self._executor.start(self._spec)
-                # replicas are deep copies of the session's *current* models
-                self._worker_version.set(self._session.model_version)
+            self._worker_version.set(self._session.model_version)
         # telemetry is pay-for-what-you-use: capture worker spans only
         # when the starting thread has a tracer installed
         self._ambient_tracer = current_tracer()
@@ -246,9 +249,7 @@ class InferenceService(InferenceSession):
         self._thread.join()
         self._thread = None
         with self._swap_lock:
-            if self._executor is not None:
-                self._executor.close()
-                self._executor = None
+            self._executor.close()
         self._merge_loop_telemetry()
         self._started = False
 
@@ -447,40 +448,32 @@ class InferenceService(InferenceSession):
                     return group
                 self._cond.wait(timeout=flush_at - now)
 
-    def _sync_workers_locked(self) -> None:
-        """Broadcast the pending swap payload (caller holds _swap_lock)."""
-        version = self._session.model_version
-        if self._executor is None or self._worker_version.get() == version:
-            return
-        self._executor.broadcast("set_weights", self._pending_state.get())
-        self._worker_version.set(version)
-
     def _process(self, group: list[_Request]) -> None:
-        cfg = self.config
         with self._swap_lock:
             version = self._session.model_version
-            try:
-                self._sync_workers_locked()
-            except WorkerCrash:
-                self._heal()
+            if self._worker_version.get() != version:
+                # lazy sync: broadcast the pending swap payload
+                self._executor.broadcast("set_weights", self._pending_state.get())
+                self._worker_version.set(version)
         with _span("serve.batch", size=len(group), version=version):
-            batch = self._assemble(group)
-            out = None
-            if self._executor is not None:
-                try:
-                    out = self._dispatch(batch)
-                except WorkerCrash:
-                    self._counts["fallbacks"] += 1
-                    _metrics.REGISTRY.counter("serve.fallbacks").inc()
-                    self._heal()
-            if out is None:
-                # serial fallback (or a session with no extractable
-                # models): compute under the swap lock so the stamped
-                # version always matches the weights used
-                with self._swap_lock, _span("serve.fallback"):
-                    out = self._session.predict_descriptor_batch(batch)
-                    version = self._session.model_version
+            out = self._dispatch(self._assemble(group))
+        with self._swap_lock:
+            if self._executor.recover(self._pending_state.get()):
+                self._worker_version.set(self._session.model_version)
         self._respond(group, out, version)
+
+    def _fallback(self, rank: int, method: str, args: tuple, capture) -> TaskResult:
+        """One rank's task on the local session, under the swap lock;
+        each frame carries the version whose weights computed it."""
+        shard = args[0] if method == "predict_task" else None
+        out = None
+        if shard is not None and shard.batch_size:
+            with self._swap_lock, _span("serve.fallback"):
+                out = dict(self._session.predict_descriptor_batch(shard))
+                out["model_version"] = np.full(
+                    shard.batch_size, self._session.model_version
+                )
+        return TaskResult(payload=out, telemetry=WorkerTelemetry(rank=rank))
 
     def _assemble(self, group: list[_Request]) -> DescriptorBatch:
         """Micro-batch -> one DescriptorBatch, through the neighbor cache."""
@@ -518,37 +511,24 @@ class InferenceService(InferenceSession):
         )
         outs = []
         for res in results:
-            if res is None:
-                continue
             self._merge_worker_telemetry(res.telemetry)
             if res.payload is not None:
                 outs.append(res.payload)
         keys = [k for k, v in outs[0].items() if v is not None]
         return {k: np.concatenate([o[k] for o in outs]) for k in keys}
 
-    def _heal(self) -> None:
-        """Respawn dead ranks and re-sync replicas to the live weights."""
-        if self._executor is None:
-            return
-        try:
-            with self._swap_lock:
-                self._executor.heal(self._spec, self._pending_state.get())
-                self._worker_version.set(self._session.model_version)
-        except Exception:
-            # pool unrecoverable: all further batches use the fallback
-            with self._swap_lock:
-                self._executor.close()
-                self._executor = None
-
     def _respond(self, group: list[_Request], out: dict, version: int) -> None:
         e_std = out.get("energy_std")
         dev = out.get("max_force_dev")
+        versions = out.get("model_version")  # set by the fallback
         self._counts["batches"] += 1
         _metrics.REGISTRY.counter("serve.batches").inc()
         self._occupancy.observe(len(group))
         _metrics.REGISTRY.histogram("serve.batch_occupancy").observe(len(group))
         now = time.perf_counter()
         for t, req in enumerate(group):
+            if versions is not None:
+                version = int(versions[t])
             pred = Prediction(
                 energy=float(out["energy"][t]),
                 forces=out["forces"][t],
@@ -618,6 +598,7 @@ class InferenceService(InferenceSession):
             depth = len(self._queue)
         return {
             **dict(self._counts),
+            "fallbacks": self._executor.fallbacks if self._executor else 0,
             "model_version": self._session.model_version,
             "queue_depth": depth,
             "latency_s": lat,
@@ -648,18 +629,3 @@ class InferenceService(InferenceSession):
             "queue_saturation": depth / capacity,
             "heartbeats": self.heartbeats.ages(),
         }
-
-    def inject_fault(self, rank: int, fault) -> None:
-        """Install a :class:`~repro.optim.worker.FaultInjector` on one
-        rank's worker (robustness / watchdog tests; mirrors the
-        data-parallel trainer's hook).  A ``stall_s`` fault with
-        ``raises=False`` wedges the rank -- and therefore the batcher --
-        without tripping the crash/heal path, which is exactly the
-        silent-hang mode the heartbeat SLO exists to catch."""
-        if self._executor is None:
-            raise RuntimeError("service has no worker pool (start it first)")
-        calls = [
-            ("set_fault", (fault if r == rank else None,))
-            for r in range(self._executor.world_size)
-        ]
-        self._executor.submit(calls)

@@ -1,10 +1,14 @@
 """Batch loader: coverage, determinism, drop semantics."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.data import BatchLoader, Dataset
+from repro.data.framestore import FrameStoreCorrupt
 from repro.md import Cell
 
 
@@ -187,21 +191,58 @@ class TestStreamingEquivalence:
             assert stream.stats["hits"] + stream.stats["stalls"] == n
 
 
+class _TornSource:
+    """A dataset whose ``poisoned`` frames read as a torn store: every
+    reader -- worker or local -- raises :class:`FrameStoreCorrupt`."""
+
+    def __init__(self, inner, poisoned):
+        self.inner = inner
+        self.poisoned = set(poisoned)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def get_frames(self, indices):
+        if self.poisoned & set(np.asarray(indices).tolist()):
+            raise FrameStoreCorrupt("torn shard under a poisoned frame")
+        return self.inner.get_frames(indices)
+
+
+class TestStreamingFailure:
+    def test_unabsorbable_failure_reaches_slow_consumer(self, cu_dataset, small_cfg):
+        """Batch 2 fails while the one-slot ready queue is full and the
+        consumer spends 1.5 s per step: the consumer still gets batches
+        0 and 1, then the typed error -- never a hang."""
+        from repro.data import StreamingLoader
+
+        source = _TornSource(cu_dataset, poisoned=[4])
+        loader = StreamingLoader(
+            source, 2, cfg=small_cfg, shuffle=False, executor="thread",
+            workers=1, depth=1,
+        )
+        served, raised = [], []
+
+        def consume():
+            try:
+                for idx, _batch in loader.iter_batches(epoch_index=0):
+                    served.append(idx.tolist())
+                    time.sleep(1.5)
+            except Exception as exc:
+                raised.append(exc)
+
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
+        consumer.join(timeout=30.0)
+        hung = consumer.is_alive()
+        if not hung:
+            loader.close()
+        assert not hung, "StreamingLoader consumer hung on a dropped failure"
+        assert served == [[0, 1], [2, 3]]
+        assert len(raised) == 1 and isinstance(raised[0], FrameStoreCorrupt)
+
+
 class TestDeprecatedLoaderSurface:
-    def test_dataset_kwarg_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="make_loader"):
-            loader = BatchLoader(dataset=_ds(8), batch_size=2)
-        assert loader.source.n_frames == 8
-
-    def test_dataset_property_warns(self):
-        loader = BatchLoader(_ds(8), 2)
-        with pytest.warns(DeprecationWarning, match="source"):
-            assert loader.dataset is loader.source
-
-    def test_both_source_and_dataset_rejected(self):
-        ds = _ds(4)
-        with pytest.raises(TypeError):
-            BatchLoader(ds, 2, dataset=ds)
+    """The retired ``dataset=`` alias leaves one rule: a source is required."""
 
     def test_no_source_rejected(self):
         with pytest.raises(TypeError):

@@ -38,30 +38,49 @@ class TestOnlineLoop:
     def test_service_serves_throughout_and_after(self, make_learner, split):
         learner = make_learner(target_swaps=1, max_segments=10)
         train, test = split
-        errors = []
+        service = learner.service
+        errors, versions = [], []
+        answered = threading.Event()
         stop = threading.Event()
 
         def client():
+            # paced: a bounded number of requests per served version, then
+            # an event wait -- the client never spins against the learner
             while not stop.is_set():
+                if versions.count(service.model_version) >= 3:
+                    stop.wait(0.01)
+                    continue
                 try:
-                    learner.service.predict(
+                    pred = service.predict(
                         test.positions[0], test.species, test.cell, timeout=30.0
                     )
+                    versions.append(pred.model_version)
                 except Exception as exc:  # any failure is downtime
                     errors.append(exc)
+                answered.set()
 
-        learner.service.start()
+        service.start()
+        v0 = service.model_version
         t = threading.Thread(target=client, daemon=True)
         t.start()
         try:
+            assert answered.wait(timeout=30.0), "no response before the run"
             result = learner.run(train.positions[0], temperature=400.0)
+            # the client answers under the final version before it stops
+            for _ in range(3000):
+                if service.model_version in versions or errors:
+                    break
+                stop.wait(0.01)
         finally:
             stop.set()
             t.join()
         assert errors == []
+        # at least one response under each served version
+        assert set(versions) == set(range(v0, service.model_version + 1))
+        assert service.model_version > v0
         # the service survived every swap and still answers
-        pred = learner.service.predict(test.positions[1], test.species, test.cell)
-        assert pred.model_version == learner.service.model_version
+        pred = service.predict(test.positions[1], test.species, test.cell)
+        assert pred.model_version == service.model_version
         assert result.ledger["mixed_version_batches"] == 0
 
     def test_pause_stops_the_pipeline(self, make_learner, split):

@@ -136,7 +136,7 @@ class TestStalledServeWorker:
         ])
         # wedge rank 0 inside its next predict_task: alive, not crashed,
         # so the executor's heal path never fires -- only the watchdog sees
-        service.inject_fault(
+        service._executor.inject_fault(
             0, FaultInjector("predict_task", times=1, stall_s=1.2,
                              raises=False),
         )
@@ -159,7 +159,7 @@ class TestStalledServeWorker:
             SLORule("p99 latency", "p99_latency_s", 0.05, source="serve",
                     min_count=1),
         ])
-        service.inject_fault(
+        service._executor.inject_fault(
             0, FaultInjector("predict_task", times=8, stall_s=0.15,
                              raises=False),
         )

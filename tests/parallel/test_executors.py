@@ -39,7 +39,7 @@ def _train(cu_dataset, small_cfg, executor, world=2, steps=2, fault=None,
         model, world_size=world, kalman_cfg=_kcfg(), seed=7, executor=executor
     )
     if fault is not None:
-        dist.inject_fault(fault_rank, fault)
+        dist.executor.inject_fault(fault_rank, fault)
     batch = make_batch(cu_dataset, np.arange(4), small_cfg)
     checksums, abes = [], []
     for _ in range(steps):
@@ -92,16 +92,16 @@ class TestCrashRobustness:
     def test_single_failure_retried_in_place(self, cu_dataset, small_cfg, kind):
         """One injected failure is absorbed by the in-place retry: no
         fallback, and the result is bit-identical to a clean run."""
-        retries0 = _counter("parallel.worker_retries")
-        fallbacks0 = _counter("parallel.serial_fallbacks")
+        retries0 = _counter("parallel.worker_retries", client="trainer")
+        fallbacks0 = _counter("parallel.serial_fallbacks", client="trainer")
         w_ref, cks_ref, _ = _train(cu_dataset, small_cfg, kind)
         w, cks, _ = _train(
             cu_dataset, small_cfg, kind, fault=FaultInjector("energy_task", times=1)
         )
         assert np.array_equal(w_ref, w)
         assert cks == cks_ref
-        assert _counter("parallel.worker_retries") == retries0 + 1
-        assert _counter("parallel.serial_fallbacks") == fallbacks0
+        assert _counter("parallel.worker_retries", client="trainer") == retries0 + 1
+        assert _counter("parallel.serial_fallbacks", client="trainer") == fallbacks0
 
     @pytest.mark.parametrize("kind", EXECUTOR_NAMES)
     @pytest.mark.parametrize("method", ["energy_task", "force_task"])
@@ -111,8 +111,8 @@ class TestCrashRobustness:
         """A rank failing its task twice triggers the serial fallback for
         that step; training completes with bit-identical final weights
         and the telemetry counters record fallback + heal."""
-        fallbacks0 = _counter("parallel.serial_fallbacks")
-        heals0 = _counter("parallel.executor_heals")
+        fallbacks0 = _counter("parallel.serial_fallbacks", client="trainer")
+        heals0 = _counter("parallel.executor_heals", client="trainer")
         w_ref, cks_ref, abe_ref = _train(cu_dataset, small_cfg, kind)
         w, cks, abe = _train(
             cu_dataset, small_cfg, kind, fault=FaultInjector(method, times=2)
@@ -120,8 +120,8 @@ class TestCrashRobustness:
         assert np.array_equal(w_ref, w)
         assert cks == cks_ref
         assert abe == abe_ref
-        assert _counter("parallel.serial_fallbacks") == fallbacks0 + 1
-        assert _counter("parallel.executor_heals") == heals0 + 1
+        assert _counter("parallel.serial_fallbacks", client="trainer") == fallbacks0 + 1
+        assert _counter("parallel.executor_heals", client="trainer") == heals0 + 1
 
     def test_dead_process_crashes_then_heals(self, cu_dataset, small_cfg):
         """A killed worker process surfaces as WorkerCrash; heal()
