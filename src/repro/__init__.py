@@ -19,8 +19,14 @@ Quickstart::
                          fused_env=True)
     Trainer(model, opt, train, test, batch_size=32).run(max_epochs=10)
     print(model.evaluate_rmse(test))
+
+Importing the package sets every loaded BLAS library to one thread
+(:mod:`repro.optim.blas`): the Kalman core parallelises over its P blocks
+itself, and single-threaded kernels keep the training bits independent
+of the host's core count.
 """
 
+from .optim import blas as _blas  # noqa: F401  (pins BLAS to one thread)
 from . import telemetry
 from .autograd import KernelCounter, Tensor, grad, no_grad
 from .data import (

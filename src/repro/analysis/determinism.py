@@ -20,10 +20,12 @@ mechanisms the guarantee rests on:
     Every rank's replica weights must be bit-equal to the parent's after
     each step (the delta broadcast keeps replicas lockstep).
 ``single-writer-p``
-    Instruments ``KalmanState.update`` with an access probe: all writes
-    to the shared P must come from one thread with no overlapping entry
-    (write epochs are disjoint).  A second writer thread or a reentrant
-    update means the thread backend is racing on the filter state.
+    Instruments ``KalmanState.update`` with an access probe: every update
+    must be entered from one thread with no overlapping entry (write
+    epochs are disjoint).  Inside an epoch the Kalman block pool writes
+    disjoint blocks of P, each from exactly one thread; a second entering
+    thread or a reentrant update means the thread backend is racing on
+    the filter state.
 ``sink-leak``
     The thread-local kernel-launch sink stack and the tracer stack must
     be empty after each run -- a leaked sink means some worker's
@@ -40,6 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from ..autograd import instrument as _instrument
+from ..optim.kalman import runtime_info as kalman_runtime_info
 from ..telemetry.trace import current_tracer
 from .findings import Finding, Report
 
@@ -60,8 +63,9 @@ def state_fingerprint(optimizer, model=None) -> str:
     model weight vector: two runs share a fingerprint iff their training
     state is bit-identical."""
     h = hashlib.sha256()
-    for key in sorted(optimizer.state_dict()):
-        arr = np.ascontiguousarray(optimizer.state_dict()[key])
+    state = optimizer.state_dict()
+    for key in sorted(state):
+        arr = np.ascontiguousarray(state[key])
         h.update(key.encode())
         h.update(arr.tobytes())
     if model is not None:
@@ -262,9 +266,10 @@ def audit_determinism(
         if trace.writer_threads > 1:
             report.add(Finding(
                 rule="single-writer-p",
-                message=f"[{trace.backend}] P was written from "
-                        f"{trace.writer_threads} distinct threads; the "
-                        f"Kalman update must stay on the parent thread",
+                message=f"[{trace.backend}] KalmanState.update was "
+                        f"entered from {trace.writer_threads} distinct "
+                        f"threads; the Kalman update must stay on the "
+                        f"parent thread",
                 context={"backend": trace.backend,
                          "threads": trace.writer_threads},
             ))
@@ -294,6 +299,11 @@ def audit_determinism(
     report.metrics["backends"] = ",".join(t.backend for t in traces)
     report.metrics["compiled"] = int(compiled)
     report.metrics["write_epochs"] = ref.write_epochs
+    # what sets the bits besides the code: BLAS threads and the block pool
+    kalman = kalman_runtime_info()
+    report.metrics["blas_threads"] = ",".join(
+        f"{lib}={n}" for lib, n in sorted(kalman["blas_threads"].items()))
+    report.metrics["kalman_pool_size"] = kalman["pool_size"]
     report.metrics["fingerprints_compared"] = sum(
         len(t.fingerprints) for t in traces[1:]
     )

@@ -93,3 +93,18 @@ def validate_blocks(blocks: list[Block], total: int) -> None:
 def p_memory_bytes(blocks: list[Block], dtype_size: int = 8) -> int:
     """Total bytes of the block-diagonal P (the Sec. 5.3 accounting)."""
     return sum(b.size * b.size * dtype_size for b in blocks)
+
+
+def shard_blocks(blocks: list[Block], n_shards: int) -> list[list[int]]:
+    """Assign block indices to ``n_shards`` shards, balancing the
+    per-shard sum(N_b^2) -- the cost of the symv/syr pair on each block
+    -- by longest-processing-time greedy.  Ties go to the lowest shard,
+    so the assignment is a pure function of the block sizes."""
+    order = sorted(range(len(blocks)), key=lambda i: -blocks[i].size ** 2)
+    loads = [0] * n_shards
+    shards: list[list[int]] = [[] for _ in range(n_shards)]
+    for i in order:
+        r = min(range(n_shards), key=loads.__getitem__)
+        shards[r].append(i)
+        loads[r] += blocks[i].size ** 2
+    return [sorted(s) for s in shards]

@@ -34,7 +34,7 @@ from ..model.network import DeePMD
 from ..autograd.config import config as _autograd_config
 from ..telemetry import metrics as _metrics
 from ..telemetry.trace import span as _span
-from .kalman import KalmanConfig, KalmanState
+from .kalman import KalmanConfig, KalmanState, runtime_info as kalman_runtime_info
 from .worker import GradientWorker, error_signs
 
 
@@ -132,13 +132,15 @@ class FEKF:
         return self.worker.compiled
 
     def stats(self) -> dict:
-        """Optimizer-level diagnostics: filter state plus (when compiled)
+        """Optimizer-level diagnostics: filter state, the Kalman core's
+        BLAS pinning and block pool (``kalman``), plus (when compiled)
         the plan-cache telemetry -- compiles, replays, fallback counts,
         per-plan fusion/arena numbers."""
         out: dict = {
             "step_count": self.step_count,
             "lambda": self.kalman.lam,
             "updates": self.kalman.updates,
+            "kalman": kalman_runtime_info(),
         }
         if self.worker._engine is not None:
             out["compiled"] = self.worker._engine.stats()

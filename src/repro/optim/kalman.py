@@ -24,6 +24,14 @@ updating" + "cache intermediate results"):
   all.  One kernel launch, ~20x faster at the paper's blocksize, and
   numerically identical to the naive kernel (pinned by the tests).
 
+Both kernels run block-parallel.  With the block-diagonal P of RLEKF the
+blocks are independent apart from the scalar gain, so one process-wide
+:class:`BlockPool` shards them (longest-processing-time balance, see
+:func:`~repro.optim.blocks.shard_blocks`) and every block is updated by
+exactly one thread with single-threaded BLAS (:mod:`repro.optim.blas`
+pins the libraries and binds GIL-free kernels).  The result is therefore
+bit-identical for any pool size and any core count.
+
 Scale-stabilization (documented deviations, see DESIGN.md): the 1/lambda
 forgetting inflates P exponentially along directions the data never
 excites ("covariance wind-up").  At the paper's scale -- tens of thousands
@@ -36,13 +44,17 @@ and can be disabled (``inf``) to recover the unguarded Algorithm 1.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas as _blas
 
 from ..autograd.instrument import record_launch, register_op
-from .blocks import Block, split_blocks
+from ..telemetry import metrics as _metrics
+from . import blas as _blas_runtime
+from .blocks import Block, shard_blocks, split_blocks
 
 # the Kalman-core kernels live outside the autograd graph (plain BLAS on
 # P); registered so the launch accounting and the project lint know them
@@ -52,6 +64,69 @@ for _name in (
 ):
     register_op(_name, kind="optim", second_order=False)
 del _name
+
+
+class BlockPool:
+    """Runs one function over shards of block indices, one thread each.
+
+    The calling thread runs the first shard itself and ``size - 1``
+    worker threads run the rest, so ``size=1`` is the plain serial loop.
+    The workers start on first use and again in a forked child (a fork
+    copies the executor but not its threads).  Tasks never submit to the
+    pool, so concurrent callers (``NaiveEKF`` replicas, a verifying
+    shadow state) only queue behind each other.
+    """
+
+    def __init__(self, size: int):
+        self.size = max(1, int(size))
+        self._executor = None
+        self._pid = None
+        self._lock = threading.Lock()
+
+    def _workers(self) -> ThreadPoolExecutor:
+        with self._lock:
+            if self._pid != os.getpid():
+                self._executor = ThreadPoolExecutor(
+                    self.size - 1, thread_name_prefix="kalman-block")
+                self._pid = os.getpid()
+            return self._executor
+
+    def run(self, fn, shards: list[list[int]]) -> None:
+        """``fn(shard)`` for every shard; waits for all of them, then
+        re-raises the first exception in shard order unchanged."""
+        futures = [self._workers().submit(fn, s) for s in shards[1:]]
+        errors = []
+        try:
+            fn(shards[0])
+        except BaseException as exc:  # re-raised once the others finish
+            errors.append(exc)
+        errors.extend(e for e in (f.exception() for f in futures) if e is not None)
+        if errors:
+            raise errors[0]
+
+
+def _affinity_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+#: the process's block pool, one thread per CPU this process may run on
+_POOL = BlockPool(_affinity_cpus())
+#: the serial fallback when the BLAS could not be pinned or bound
+_SERIAL = BlockPool(1)
+
+
+def runtime_info() -> dict:
+    """What sets the Kalman core's bits and speed in this process: the
+    thread count of every BLAS library, the block-pool size and, when
+    the blocks run serially, why."""
+    runtime = _blas_runtime.RUNTIME
+    return {
+        "blas_threads": dict(runtime.threads),
+        "pool_size": _POOL.size if runtime.fallback is None else 1,
+        "fallback_reason": runtime.fallback,
+    }
 
 
 @dataclass
@@ -124,42 +199,44 @@ class KalmanState:
         return p.copy()
 
     # ------------------------------------------------------------------
-    # kernels: each returns (pg, cached quadratic form g.pg)
+    # per-block kernels: each touches block i only, so the block pool may
+    # run them for different blocks on different threads
     # ------------------------------------------------------------------
-    def _pg(self, i: int, g: np.ndarray) -> np.ndarray:
+    def _pg(self, kernels, i: int, g: np.ndarray) -> np.ndarray:
         """P g for block i (the cached intermediate of the paper's Opt3)."""
         if self.cfg.fused_update:
-            pg = _blas.dsymv(self.p_scales[i], self.p_mats[i], g, lower=0)
-            record_launch("p_symv_fused", pg.nbytes)
-        else:
-            pg = self.p_mats[i] @ g
-            record_launch("p_gemv", pg.nbytes)
-        return pg
+            return kernels.symv(self.p_scales[i], self.p_mats[i], g)
+        return self.p_mats[i] @ g
 
-    def _downdate(self, i: int, pg: np.ndarray, a: float) -> None:
+    def _downdate(self, kernels, i: int, pg: np.ndarray, a: float) -> None:
         """P_i <- (P_i - a * pg pg^T) / lambda."""
         if self.cfg.fused_update:
             # single triangular rank-1 BLAS kernel; 1/lambda folded into
             # the block scale so no full-matrix pass is needed.
             c = self.p_scales[i]
-            self.p_mats[i] = _blas.dsyr(
-                -a / c, pg, a=self.p_mats[i], lower=0, overwrite_a=1
-            )
+            self.p_mats[i] = kernels.syr(-a / c, pg, self.p_mats[i])
             self.p_scales[i] = c / self.lam
-            record_launch("p_update_fused", self.p_mats[i].nbytes)
         else:
-            p = self.p_mats[i]
             k = a * pg
-            record_launch("k_scale", k.nbytes)
             kkt = np.outer(k, k / a)  # the N_b x N_b temporary
-            record_launch("kkT_outer", kkt.nbytes)
-            p1 = p - kkt
-            record_launch("p_sub", p1.nbytes)
+            p1 = self.p_mats[i] - kkt
             p1 = p1 / self.lam
-            record_launch("p_scale", p1.nbytes)
-            p1 = (p1 + p1.T) / 2.0
-            record_launch("p_symmetrize", p1.nbytes)
-            self.p_mats[i] = p1
+            self.p_mats[i] = (p1 + p1.T) / 2.0
+
+    def _record_launches(self, phase: str, pgs: list[np.ndarray]) -> None:
+        """Report the kernels of one phase on the calling thread (pool
+        threads carry no launch sinks)."""
+        fused = self.cfg.fused_update
+        for pg in pgs:
+            vec, mat = pg.nbytes, pg.size * pg.nbytes
+            if phase == "pg":
+                record_launch("p_symv_fused" if fused else "p_gemv", vec)
+            elif fused:
+                record_launch("p_update_fused", mat)
+            else:
+                record_launch("k_scale", vec)
+                for name in ("kkT_outer", "p_sub", "p_scale", "p_symmetrize"):
+                    record_launch(name, mat)
 
     # ------------------------------------------------------------------
     def update(self, g_flat: np.ndarray, error: float, scale: float) -> np.ndarray:
@@ -167,25 +244,52 @@ class KalmanState:
 
         ``error`` is the (sign-aligned) mean absolute error ABE, ``scale``
         the sqrt(batch-size) quasi-learning-rate factor of Eq. 2.
+
+        The blocks are sharded over the block pool: ``P g`` and ``g.Pg``,
+        then (after the gains) the downdate and the ``dw`` slice of block
+        i all run on one thread, so the bits do not depend on the pool
+        size.  The anti-windup guard, lambda and the trust-region clip
+        run on the calling thread.
         """
         if g_flat.shape != (self.num_params,):
             raise ValueError(f"gradient shape {g_flat.shape} != ({self.num_params},)")
-        dw = np.zeros(self.num_params)
+        runtime = _blas_runtime.RUNTIME
+        kernels = runtime.kernels
+        if runtime.fallback is None:
+            pool = _POOL
+        else:
+            pool = _SERIAL
+            _metrics.REGISTRY.counter(
+                "kalman.serial_fallbacks", reason=runtime.fallback).inc()
+        shards = shard_blocks(self.blocks, min(pool.size, len(self.blocks)))
+        n = len(self.blocks)
+        pgs: list = [None] * n
+        quads = [0.0] * n
 
-        pgs = [self._pg(i, g_flat[blk.slice()]) for i, blk in enumerate(self.blocks)]
-        quads = [
-            float(g_flat[blk.slice()] @ pg) for blk, pg in zip(self.blocks, pgs)
-        ]
+        def products(shard):
+            for i in shard:
+                g = g_flat[self.blocks[i].slice()]
+                pgs[i] = self._pg(kernels, i, g)
+                quads[i] = float(g @ pgs[i])
+
+        pool.run(products, shards)
+        self._record_launches("pg", pgs)
 
         if self.cfg.coupled_gain:
             a = 1.0 / (self.lam + sum(quads))
-            gains = [a] * len(self.blocks)
+            gains = [a] * n
         else:
             gains = [1.0 / (self.lam + q) for q in quads]
 
-        for i, blk in enumerate(self.blocks):
-            self._downdate(i, pgs[i], gains[i])
-            dw[blk.slice()] = (scale * error * gains[i]) * pgs[i]
+        dw = np.zeros(self.num_params)
+
+        def downdates(shard):
+            for i in shard:
+                self._downdate(kernels, i, pgs[i], gains[i])
+                dw[self.blocks[i].slice()] = (scale * error * gains[i]) * pgs[i]
+
+        pool.run(downdates, shards)
+        self._record_launches("downdate", pgs)
 
         self._guard()
         self.advance_lambda()

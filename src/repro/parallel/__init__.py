@@ -1,6 +1,11 @@
 """repro.parallel -- data parallelism for FEKF: simulated collectives
-plus pluggable rank executors (serial / thread / process)."""
+plus pluggable rank executors (serial / thread / process).
 
+The model-parallel side (P blocks sharded over threads) lives in the
+Kalman core itself (:class:`repro.optim.kalman.BlockPool`);
+``shard_blocks`` is re-exported here."""
+
+from ..optim.blocks import shard_blocks
 from .comm import (
     CommLedger,
     CostModel,
@@ -27,7 +32,6 @@ from .executor import (
     WorkerCrash,
     make_executor,
 )
-from .model_parallel import ModelParallelKalman, shard_blocks
 from .trainer import DistributedFEKF, StepTiming
 
 __all__ = [
@@ -53,6 +57,5 @@ __all__ = [
     "make_executor",
     "DistributedFEKF",
     "StepTiming",
-    "ModelParallelKalman",
     "shard_blocks",
 ]

@@ -162,3 +162,72 @@ class TestLifecycle:
     def test_blocks_must_cover_params(self):
         with pytest.raises(ValueError):
             KalmanState(N + 5, LAYERS, KalmanConfig(blocksize=32))
+
+
+class TestBlasRuntime:
+    """Process-wide BLAS pinning, the bound kernels, and the counted
+    serial fallback."""
+
+    def test_every_loaded_blas_is_pinned(self):
+        from repro.optim import blas
+
+        runtime = blas.RUNTIME
+        if runtime.fallback is not None:
+            pytest.skip(f"BLAS not pinnable here: {runtime.fallback}")
+        assert runtime.threads and set(runtime.threads.values()) == {1}
+        assert isinstance(runtime.kernels, blas.CblasKernels)
+
+    @pytest.mark.parametrize("n", [1, 5, 99, 100, 1024])
+    def test_bound_kernels_match_scipy_bitwise(self, n):
+        from repro.optim import blas
+
+        if blas.RUNTIME.fallback is not None:
+            pytest.skip("no bound kernels")
+        r = np.random.default_rng(n)
+        a = r.normal(size=(n, n))
+        a = np.asfortranarray(a + a.T)
+        x = r.normal(size=n)
+        bound, ref = blas.RUNTIME.kernels, blas.F2pyKernels
+        assert np.array_equal(bound.symv(0.7, a, x), ref.symv(0.7, a, x))
+        out = bound.syr(-0.3, x, a.copy(order="F"))
+        assert np.array_equal(np.triu(out), np.triu(ref.syr(-0.3, x, a.copy(order="F"))))
+
+    def test_bound_kernels_reject_c_ordered_blocks(self):
+        from repro.optim import blas
+
+        if blas.RUNTIME.fallback is not None:
+            pytest.skip("no bound kernels")
+        with pytest.raises(ValueError):
+            blas.RUNTIME.kernels.symv(1.0, np.ones((3, 4))[:, :3], np.ones(3))
+
+    @pytest.mark.parametrize("missing, reason", [
+        ("_CBLAS_SYMBOLS", "no_cblas_kernels"),
+        ("_THREAD_CONTROLS", "no_set_num_threads"),
+    ])
+    def test_fallback_is_counted_and_reported(self, monkeypatch, cu_model, missing, reason):
+        from repro.optim import FEKF, blas
+        from repro.telemetry import REGISTRY
+
+        parallel = _state(fused_update=True)
+        g = rng.normal(size=N)
+        dw_parallel = parallel.update(g, 0.2, 1.0)
+
+        absent = (("absent_dsymv", "absent_dsyr") if missing == "_CBLAS_SYMBOLS"
+                  else (("absent_set_num_threads", "absent_get_num_threads"),))
+        monkeypatch.setattr(blas, missing, absent)
+        monkeypatch.setattr(blas, "RUNTIME", blas.configure())
+        assert blas.RUNTIME.fallback == reason
+        assert isinstance(blas.RUNTIME.kernels, blas.F2pyKernels)
+
+        counter = REGISTRY.counter("kalman.serial_fallbacks", reason=reason)
+        before = counter.value
+        serial = _state(fused_update=True)
+        # single-threaded kernels either way: the fallback keeps the bits
+        assert np.array_equal(serial.update(g, 0.2, 1.0), dw_parallel)
+        serial.update(g, 0.2, 1.0)
+        assert counter.value == before + 2
+
+        info = FEKF(cu_model, KalmanConfig(blocksize=256, fused_update=True)).stats()["kalman"]
+        assert info["fallback_reason"] == reason
+        assert info["pool_size"] == 1
+        assert set(info["blas_threads"]) == set(blas.RUNTIME.threads)
