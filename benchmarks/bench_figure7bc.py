@@ -22,11 +22,11 @@ def batch64(cu_data, cfg):
 @pytest.mark.parametrize("preset_name", ["baseline", "opt1", "opt2", "opt3"])
 def test_iteration_time_per_preset(benchmark, model, batch64, preset_name):
     preset = PRESETS[preset_name]
-    opt = FEKF(model, preset.kalman_config(blocksize=2048), fused_env=preset.fused_env)
+    opt = FEKF(model, preset.kalman_config(blocksize=2048),
+               fused_env=preset.fused_env, compiled=preset.compiled)
 
     def iteration():
-        with preset.context():
-            return opt.step_batch(batch64)
+        return opt.step_batch(batch64)
 
     stats = benchmark(iteration)
     assert stats["updates"] > 0
@@ -36,9 +36,12 @@ def test_kernel_counts_fall_with_presets(model, batch64):
     counts = {}
     for name in ("baseline", "opt1", "opt2", "opt3"):
         preset = PRESETS[name]
-        opt = FEKF(model, preset.kalman_config(blocksize=2048), fused_env=preset.fused_env)
+        opt = FEKF(model, preset.kalman_config(blocksize=2048),
+                   fused_env=preset.fused_env, compiled=preset.compiled)
         prof = profile_update(model, opt, batch64, preset)
         counts[name] = prof.total_iteration_kernels()
+        if preset.compiled:
+            assert opt.stats()["compiled"]["fallbacks"] == 0
     assert counts["opt1"] < counts["baseline"]
     assert counts["opt2"] < counts["opt1"]
     assert counts["opt3"] < counts["opt2"]

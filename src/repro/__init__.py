@@ -37,10 +37,8 @@ from .data import (
     ShardedFrameStore,
     StreamingLoader,
     generate_dataset,
-    load_dataset,
     make_loader,
     open_source,
-    save_dataset,
 )
 from .model import DeePMD, DeePMDConfig, make_batch
 from .model.calculator import DeePMDCalculator
@@ -85,8 +83,6 @@ __all__ = [
     "ShardedFrameStore",
     "SYSTEMS",
     "generate_dataset",
-    "save_dataset",
-    "load_dataset",
     "DeePMD",
     "DeePMDConfig",
     "DeePMDCalculator",

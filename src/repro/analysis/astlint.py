@@ -391,7 +391,7 @@ def _live_registered_ops() -> set:
     op-defining modules.  Complements the static scan so linting a
     *subtree* still knows about ops registered elsewhere in the package."""
     try:
-        from ..autograd import fuse, ops  # noqa: F401  (import = register)
+        from ..autograd import ops  # noqa: F401  (import = register)
         from ..autograd.instrument import registered_ops
         from ..model import environment  # noqa: F401
         from ..optim import kalman  # noqa: F401

@@ -132,21 +132,18 @@ def run_backend(
     seed: int = 7,
     batch_size: int = 4,
     compiled: bool = False,
-    fused_env: "bool | None" = None,
 ) -> BackendTrace:
     """Train ``steps`` FEKF steps under one executor backend, recording a
     per-step state fingerprint and probing the determinism mechanisms.
 
-    ``compiled=True`` certifies the tape-compiled replay path: the
-    engine only traces the autograd descriptor (``fused_env=False``
-    unless overridden), so plans replay instead of silently disabling.
+    ``compiled=True`` certifies the tape-compiled replay path on the same
+    configuration (Opt1 descriptor kernel included): its fingerprints
+    must equal the eager run's.
     """
     from ..model import DeePMD, make_batch
     from ..optim import KalmanConfig
     from ..parallel import DistributedFEKF
 
-    if fused_env is None:
-        fused_env = not compiled
     trace = BackendTrace(backend=backend)
     model = DeePMD.for_dataset(dataset, cfg, seed=1)
     dist = DistributedFEKF(
@@ -155,7 +152,7 @@ def run_backend(
         kalman_cfg=KalmanConfig(blocksize=1024, fused_update=True),
         seed=seed,
         executor=backend,
-        fused_env=fused_env,
+        fused_env=True,
         compiled=compiled,
     )
     probe = SharedStateProbe(dist.kalman)

@@ -2,14 +2,13 @@
 
 Public surface::
 
-    from repro.autograd import Tensor, grad, no_grad, fused_kernels
+    from repro.autograd import Tensor, grad, no_grad
     from repro.autograd import ops            # primitive functional ops
     from repro.autograd import capture        # unified op-stream observers
-    from repro.autograd.fuse import linear_tanh, residual_linear_tanh
     from repro.autograd.instrument import KernelCounter
 """
 
-from .config import config, enable_grad, fused_kernels, no_grad
+from .config import config, enable_grad, no_grad
 from .gradcheck import check_gradients, check_second_order, numerical_grad
 from .instrument import (
     KernelCounter,
@@ -21,7 +20,7 @@ from .instrument import (
 )
 from .tensor import GRAD_DTYPE, Tensor, as_tensor, grad, make_op
 from .capture import Sanitizer, SanitizerError, TapeEntry, TapeRecorder, capture
-from . import fuse, ops
+from . import ops
 
 __all__ = [
     "Tensor",
@@ -35,10 +34,8 @@ __all__ = [
     "make_op",
     "no_grad",
     "enable_grad",
-    "fused_kernels",
     "config",
     "ops",
-    "fuse",
     "GRAD_DTYPE",
     "KernelCounter",
     "record_launch",

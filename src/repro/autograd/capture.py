@@ -1,12 +1,9 @@
 """One entry point for every op-stream observer: ``autograd.capture``.
 
-Historically each observer had its own ad-hoc installation ritual:
-``analysis.record_tape()`` for tape recording, ``analysis.Sanitizer()``
-as a hand-rolled context manager for NaN/Inf guarding, and the profiler
-rode in on ``Tracer(profile=True)`` / the worker task protocol's
-``capture="profile"`` flag.  All three sit on the same thread-local
-launch-sink stack of :mod:`repro.autograd.instrument`; this module folds
-them behind a single composable context manager::
+Every observer -- tape recording, the NaN/Inf sanitizer, the op
+profiler -- sits on the same thread-local launch-sink stack of
+:mod:`repro.autograd.instrument`; this module folds them behind a single
+composable context manager::
 
     with capture("tape") as tape:            # op tape (graph-lint, compiler)
         loss = model(batch)
@@ -30,8 +27,7 @@ through this surface (``capture("tape", graph=True)`` forces graph edges
 onto every op output so the recorded tape carries complete parentage).
 
 The sink classes themselves (:class:`TapeRecorder`, :class:`Sanitizer`)
-live here; :mod:`repro.analysis.graphlint` re-exports them for
-compatibility and keeps a deprecated ``record_tape`` shim.
+live here; :mod:`repro.analysis.graphlint` re-exports them.
 """
 
 from __future__ import annotations

@@ -14,9 +14,14 @@ through ``autograd.capture("tape", graph=True)`` into a
   as views are materialized *once* at compile time as views of the stable
   parent buffer -- zero work at replay.
 * **Elementwise-chain fusion.**  Runs of elementwise kernels collapse
-  into one ``fused_chain`` launch (the per-layer ``fuse.py`` kernels fuse
-  within a layer; the chain fusion spans whatever the tape shows, e.g.
-  the switching-function polynomial or a backward closure cascade).
+  into one ``fused_chain`` launch, spanning whatever the tape shows (a
+  layer's bias-add + tanh + residual add, the switching-function
+  polynomial, a backward closure cascade).
+* **Opaque hand-written kernels.**  An op whose ``attrs`` declare a
+  ``replay`` kernel (the Opt1 descriptor kernel ``env_fused`` and its
+  vjp pair) replays as one step running that kernel's own numpy on the
+  bound feeds; ops sharing a ``link`` share the intermediates the
+  link's owner computes on each replay.
 * **Precomputed broadcast/reduction geometry.**  Reduction axes, index
   tuples, broadcast targets and operand shapes are resolved at compile
   time; replay does no shape inference.
@@ -347,6 +352,8 @@ class _Compiler:
         # and the section that produced it (cross-section reads pin slots)
         self.last_use: dict[int, int] = {}
         self.producer_section: dict[int, int] = {}
+        #: id(link) -> replay state shared by the opaque ops of one link
+        self.link_state: dict[int, dict] = {}
 
     # -- feed/const registration ---------------------------------------
     def _register_feed(self, name: str, arr: np.ndarray, sec_idx: int) -> np.ndarray:
@@ -489,9 +496,40 @@ class _Compiler:
                 self.free.setdefault((rbuf.shape, rbuf.dtype), []).append(rbuf)
 
     # -- kernels ---------------------------------------------------------
+    def _opaque(self, op: str, out: np.ndarray, ins, attrs, sec_idx: int):
+        """The replay closure for an op with its own ``replay`` kernel.
+
+        ``attrs["arrays"]`` (batch arrays) resolve like index arrays:
+        feeds when candidate-matched, baked otherwise.  The owner of a
+        ``link`` starts a fresh state dict that its kernel refills on
+        every replay; the link's other ops read it, as their eager
+        closures read the forward's intermediates."""
+        link = id(attrs["link"])
+        if attrs.get("owner"):
+            state = self.link_state[link] = {}
+        else:
+            state = self.link_state.get(link)
+            if state is None:
+                raise UnsupportedTrace(
+                    f"op {op!r} reads intermediates of a forward recorded "
+                    "outside any section"
+                )
+        getters = {
+            k: self._resolve_array(v, sec_idx)[0]
+            for k, v in attrs.get("arrays", {}).items()
+        }
+        replay = attrs["replay"]
+
+        def run(f, out=out, ins=tuple(ins), state=state):
+            arrays = {k: g(f) for k, g in getters.items()}
+            np.copyto(out, replay(ins, arrays, state))
+        return run
+
     def _kernel(self, op: str, out: np.ndarray, ins, attrs, sec_idx: int):
         """The replay closure for one op: mirrors the eager numpy
         expression exactly, writing into ``out``."""
+        if attrs is not None and "replay" in attrs:
+            return self._opaque(op, out, ins, attrs, sec_idx)
         a = ins[0] if ins else None
         b = ins[1] if len(ins) > 1 else None
         if op == "add":

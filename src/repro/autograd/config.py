@@ -7,10 +7,6 @@ The engine has two global toggles:
   makes plain ``backward()`` (``create_graph=False``) cheap: the backward
   closures still run tensor ops, but those ops do not themselves build a
   second-order graph.
-* ``fused_elementwise`` -- when ``True``, composite layers (``linear_tanh``
-  and friends in :mod:`repro.autograd.fuse`) execute as single fused kernels
-  instead of chains of primitive kernels.  This is the repo's analog of
-  ``torch.compile`` kernel fusion (paper Opt2).
 * ``compiled`` -- the default for the optimizers' tape-compiled step
   replay (:mod:`repro.autograd.compile`); seeded from the
   ``REPRO_COMPILE`` environment variable so whole runs opt in without
@@ -41,7 +37,6 @@ class _AutogradConfig(threading.local):
 
     def __init__(self):
         self.grad_enabled: bool = True
-        self.fused_elementwise: bool = False
         #: default for optimizer-level ``compiled=None`` (tape-compiled
         #: FEKF step replay); per-thread like every other engine flag
         self.compiled: bool = _COMPILE_DEFAULT
@@ -72,13 +67,3 @@ def enable_grad():
     finally:
         config.grad_enabled = prev
 
-
-@contextlib.contextmanager
-def fused_kernels(enabled: bool = True):
-    """Toggle fused composite kernels inside the ``with`` block."""
-    prev = config.fused_elementwise
-    config.fused_elementwise = enabled
-    try:
-        yield
-    finally:
-        config.fused_elementwise = prev

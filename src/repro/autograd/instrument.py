@@ -186,6 +186,17 @@ def tensors_wanted() -> bool:
     return _WANT_TENSORS > 0
 
 
+def thread_tensors_wanted() -> bool:
+    """Whether a sink on the *calling thread* wants output tensors.
+
+    :func:`tensors_wanted` counts sinks on every thread; a tape recorder
+    tracing one rank's step on its thread must not look like an observer
+    to a sibling rank's thread, whose ops it never sees."""
+    return _WANT_TENSORS > 0 and any(
+        hasattr(s, "record_tensor") for s in _TLS.sinks
+    )
+
+
 def graph_wanted() -> bool:
     """Whether any installed sink (on any thread) forces graph wiring."""
     return _WANT_GRAPH > 0

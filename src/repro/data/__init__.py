@@ -10,7 +10,7 @@ from .dataset import Dataset, NeighborArrays
 from .framestore import FrameStoreCorrupt, ShardedFrameStore
 from .loader import BatchLoader, StreamingLoader, make_loader
 from .source import Frames, FrameSource, open_source, windowed_order
-from .store import load_dataset, read_npz, save_dataset, write_npz
+from .store import read_npz, write_npz
 from .systems import EXTRA_SYSTEMS, SYSTEMS, SystemSpec, generate_dataset, get_system, table3_rows
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "make_loader",
     "write_npz",
     "read_npz",
-    "save_dataset",
-    "load_dataset",
     "SYSTEMS",
     "EXTRA_SYSTEMS",
     "get_system",

@@ -6,17 +6,14 @@ a :class:`~repro.data.dataset.Dataset` (including cached neighbor tables)
 through one compressed npz file, using the public
 :attr:`~repro.data.dataset.Dataset.cached_neighbors` accessor.
 
-:func:`save_dataset` / :func:`load_dataset` are one-release
-``DeprecationWarning`` shims over them -- new code should go through
-:func:`repro.data.open_source` (which reads ``.npz`` via
-:func:`read_npz`) or use a :class:`~repro.data.framestore.
-ShardedFrameStore` for corpora that should not live in RAM.
+Readers usually go through :func:`repro.data.open_source` (which reads
+``.npz`` via :func:`read_npz`); corpora that should not live in RAM
+belong in a :class:`~repro.data.framestore.ShardedFrameStore`.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 
 import numpy as np
 
@@ -65,25 +62,3 @@ def read_npz(path: str) -> Dataset:
             )
     return ds
 
-
-def save_dataset(dataset: Dataset, path: str) -> None:
-    """Deprecated alias of :func:`write_npz` (one release)."""
-    warnings.warn(
-        "save_dataset is deprecated; use repro.data.write_npz (or a "
-        "ShardedFrameStore for out-of-core corpora)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    write_npz(dataset, path)
-
-
-def load_dataset(path: str) -> Dataset:
-    """Deprecated alias of :func:`read_npz` (one release); new code
-    should call :func:`repro.data.open_source` instead."""
-    warnings.warn(
-        "load_dataset is deprecated; use repro.data.open_source (or "
-        "repro.data.read_npz)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return read_npz(path)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -136,15 +137,15 @@ def disabled_overhead(dataset=None, cfg=None, steps: int = 12,
                       batch_size: int = 4, repeats: int = 5) -> float:
     """Relative step-wall overhead of the (disabled) engine hooks: a
     plain eager run vs one where ``compiled=True`` but the engine stands
-    down (``fused_env=True`` disables it), so every gradient call pays
-    only the hook checks.  Must stay under the 5%% budget."""
+    down (both arms run ``cfg`` with ``type_aware=True``, which disables
+    it), so every gradient call pays only the hook checks.  Must stay
+    under the 5%% budget."""
     if dataset is None:
         dataset = generate_dataset(
             "Cu", frames_per_temperature=6, size="small",
             equilibration_steps=8, stride=2,
         )
-    if cfg is None:
-        cfg = bench_config()
+    cfg = replace(cfg if cfg is not None else bench_config(), type_aware=True)
 
     def wall(compiled: bool) -> float:
         model = DeePMD.for_dataset(dataset, cfg, seed=1)

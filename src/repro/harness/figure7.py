@@ -127,6 +127,7 @@ def _profile_all(system: str, batch_size: int, frames_per_temperature: int, seed
             model,
             preset.kalman_config(blocksize=2048),
             fused_env=preset.fused_env,
+            compiled=preset.compiled,
             seed=seed,
         )
         # warm-up once so timings exclude first-touch costs

@@ -15,12 +15,15 @@ Two implementations, validated against each other in the tests:
   backward (d/dcoords given dE/dR~n) and the transpose of that linear map
   (needed when force predictions are differentiated w.r.t. the weights in
   EKF updates) are both written out analytically, so double backward along
-  the weight direction stays exact.
+  the weight direction stays exact.  All three ops carry replay kernels in
+  their ``attrs``, so the tape compiler (:mod:`repro.autograd.compile`)
+  replays them as opaque plan steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -263,12 +266,37 @@ def _env_vjp_transpose(
     return out
 
 
+def _replay_env(ins, arrays, state, cfg, species, stats):
+    """Tape-compiler replay of ``env_fused``: the same numpy on the
+    bound coords/batch feeds.  Leaves the intermediates in ``state`` for
+    the vjp pair of this forward (computed once per replayed forward)."""
+    coords = ins[0]
+    batch = DescriptorBatch(coords=coords, species=species, **arrays)
+    rn, env = environment_np(coords, batch, cfg, stats)
+    state["env"], state["batch"] = env, batch
+    return rn
+
+
+def _replay_vjp(ins, arrays, state, stats):
+    return _env_vjp(ins[0], state["env"], state["batch"], stats)
+
+
+def _replay_vjp_transpose(ins, arrays, state, stats):
+    return _env_vjp_transpose(ins[0], state["env"], state["batch"], stats)
+
+
 def _make_env_linear_ops(env, batch, stats):
     """Mutually-transposed primitives: vjp(g_rn)->gcoords and its adjoint.
 
     Because the map is linear with weight-independent coefficients, each
     op's backward is exactly the other op, giving correct derivatives of
-    any order along the weight direction."""
+    any order along the weight direction.  Both ops carry replay kernels
+    linked to their forward's intermediates (``link=env``), so the tape
+    compiler replays them as opaque plan steps."""
+    vjp_attrs = {"replay": partial(_replay_vjp, stats=stats), "link": env}
+    adjoint_attrs = {
+        "replay": partial(_replay_vjp_transpose, stats=stats), "link": env,
+    }
 
     def vjp_op(g_rn: Tensor) -> Tensor:
         out = _env_vjp(g_rn.data, env, batch, stats)
@@ -276,7 +304,7 @@ def _make_env_linear_ops(env, batch, stats):
         def backward(g: Tensor):
             return (adjoint_op(g),)
 
-        return make_op(out, (g_rn,), backward, "env_bwd_fused")
+        return make_op(out, (g_rn,), backward, "env_bwd_fused", attrs=vjp_attrs)
 
     def adjoint_op(gg: Tensor) -> Tensor:
         out = _env_vjp_transpose(gg.data, env, batch, stats)
@@ -284,7 +312,9 @@ def _make_env_linear_ops(env, batch, stats):
         def backward(g: Tensor):
             return (vjp_op(g),)
 
-        return make_op(out, (gg,), backward, "env_bwd_transpose_fused")
+        return make_op(
+            out, (gg,), backward, "env_bwd_transpose_fused", attrs=adjoint_attrs
+        )
 
     return vjp_op, adjoint_op
 
@@ -299,4 +329,14 @@ def environment_fused(
     def backward(g_rn: Tensor):
         return (vjp_op(g_rn),)
 
-    return make_op(rn, (coords,), backward, "env_fused")
+    attrs = {
+        "replay": partial(
+            _replay_env, cfg=cfg, species=batch.species, stats=stats
+        ),
+        "arrays": {
+            "idx_flat": batch.idx_flat, "shift": batch.shift, "mask": batch.mask,
+        },
+        "link": env,
+        "owner": True,
+    }
+    return make_op(rn, (coords,), backward, "env_fused", attrs=attrs)

@@ -11,8 +11,9 @@ Pipeline (paper Sec. 2.1, Figure 2):
 
 Optimization toggles mirror the paper's Figure 7 presets:
 
-* ``fused_env``    -- hand-derived descriptor-environment kernel (Opt1);
-* ``fused layers`` -- via :func:`repro.autograd.fused_kernels` (Opt2);
+* ``fused_env`` -- hand-derived descriptor-environment kernel (Opt1);
+* kernel fusion (Opt2) is the tape compiler's replay of these graphs
+  (``FEKF(compiled=True)``, :mod:`repro.autograd.compile`);
 * the optimizer-side fusions (Opt3) live in :mod:`repro.optim.kalman`.
 """
 
@@ -24,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from ..autograd import Tensor, grad, no_grad, ops
-from ..autograd.fuse import linear, linear_tanh, residual_linear_tanh
 from ..data.source import FrameSource
 from .config import DeePMDConfig
 from .environment import (
@@ -37,6 +37,21 @@ from .environment import (
     make_batch,
 )
 from .params import ParamStore
+
+
+def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """out = x @ W + b."""
+    return ops.add(ops.matmul(x, W), b)
+
+
+def linear_tanh(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """out = tanh(x @ W + b)."""
+    return ops.tanh(linear(x, W, b))
+
+
+def residual_linear_tanh(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """out = x + tanh(x @ W + b) (DeePMD residual layer)."""
+    return ops.add(x, linear_tanh(x, W, b))
 
 
 @dataclass

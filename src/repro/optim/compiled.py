@@ -25,9 +25,10 @@ fallback and returns ``None`` so the caller runs the eager path:
 shape/dtype divergence (:class:`PlanMismatch`, triggering a re-trace at
 the new signature), an op-stream observer that needs real tensors (tape
 recorder / sanitizer), an unknown force-group size, or a configuration
-the compiler cannot trace (``fused_env`` bakes closures; ``type_aware``
-builds batch-dependent constants) -- the latter disables the engine for
-good.
+the compiler cannot trace (``type_aware`` builds batch-dependent
+constants) -- the latter disables the engine for good.  The Opt1
+descriptor kernel (``fused_env``) traces like any other op: its three
+kernels replay as opaque plan steps.
 
 Nothing here persists in checkpoints: after ``load_state_dict`` the
 engine simply re-traces on the next step, and the replayed trajectory is
@@ -48,7 +49,7 @@ from ..autograd.compile import (
     UnsupportedTrace,
     compile_tape,
 )
-from ..autograd.instrument import tensors_wanted
+from ..autograd.instrument import thread_tensors_wanted
 from ..model.environment import DescriptorBatch
 from ..telemetry import metrics as _metrics
 from ..telemetry.trace import span as _span
@@ -106,12 +107,7 @@ class CompiledStepEngine:
         self.compiles = 0
         self.fallbacks = 0
         self.disabled_reason: Optional[str] = None
-        if worker.fused_env:
-            # environment_fused runs a hand-derived kernel whose backward
-            # bakes batch closures -- untraceable by design (it IS the
-            # paper's Opt1 fusion; the compiler is the Opt2/Opt3 analog)
-            self.disabled_reason = "fused_env"
-        elif getattr(worker.model.cfg, "type_aware", False):
+        if getattr(worker.model.cfg, "type_aware", False):
             # the species-channel constant is rebuilt per batch from
             # integer data; baking it would pin the trace-time batch
             self.disabled_reason = "type_aware"
@@ -138,7 +134,7 @@ class CompiledStepEngine:
         if self.disabled_reason is not None:
             self._fallback(self.disabled_reason)
             return None
-        if tensors_wanted():
+        if thread_tensors_wanted():
             # a tape recorder or sanitizer is observing: replay emits no
             # tensors, so hand the step to eager for full fidelity
             self._fallback("observer")
@@ -301,7 +297,7 @@ class CompiledStepEngine:
     def force_group_gradient(self, marker: CompiledForceGraph,
                              batch: DescriptorBatch, atom_group: np.ndarray):
         """Replay one group update against a replayed force graph."""
-        if tensors_wanted():
+        if thread_tensors_wanted():
             self._fallback("observer")
             return None
         s = len(atom_group)
@@ -336,7 +332,7 @@ class CompiledStepEngine:
             tr is None
             or tr.f_graph is None
             or f_pred is not tr.f_graph[0]
-            or tensors_wanted()
+            or thread_tensors_wanted()
         ):
             return None
         s = len(atom_group)

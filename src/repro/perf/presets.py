@@ -7,22 +7,21 @@ baseline     eager primitives everywhere, framework-style P update
 opt1         + hand-derived descriptor/environment kernel
              (``fused_env``, the paper's "substitute Autograd with
              handwritten kernels")
-opt2         + fused elementwise layer kernels (the ``torch.compile``
-             analog)
+opt2         + tape-compiled step replay (``compiled``, the
+             ``torch.compile`` analog: fused elementwise chains,
+             preallocated buffers, the Opt1 kernel as an opaque step)
 opt3         + fused P-update kernel with cached P g reuse
 ===========  ======================================================
 
-``apply(preset)`` yields a context in which model calls pick up the layer
-fusion automatically; the boolean fields parameterize model/optimizer
-construction.
+The boolean fields parameterize model/optimizer construction, e.g.
+``FEKF(model, p.kalman_config(), fused_env=p.fused_env,
+compiled=p.compiled)``.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
-from ..autograd import fused_kernels
 from ..optim.kalman import KalmanConfig
 
 
@@ -32,14 +31,8 @@ class Preset:
 
     name: str
     fused_env: bool
-    fused_layers: bool
+    compiled: bool
     fused_p_update: bool
-
-    @contextlib.contextmanager
-    def context(self):
-        """Activate the layer-fusion flag for the duration."""
-        with fused_kernels(self.fused_layers):
-            yield
 
     def kalman_config(self, **overrides) -> KalmanConfig:
         cfg = KalmanConfig(fused_update=self.fused_p_update)
@@ -48,10 +41,10 @@ class Preset:
         return cfg
 
 
-BASELINE = Preset("baseline", fused_env=False, fused_layers=False, fused_p_update=False)
-OPT1 = Preset("opt1", fused_env=True, fused_layers=False, fused_p_update=False)
-OPT2 = Preset("opt2", fused_env=True, fused_layers=True, fused_p_update=False)
-OPT3 = Preset("opt3", fused_env=True, fused_layers=True, fused_p_update=True)
+BASELINE = Preset("baseline", fused_env=False, compiled=False, fused_p_update=False)
+OPT1 = Preset("opt1", fused_env=True, compiled=False, fused_p_update=False)
+OPT2 = Preset("opt2", fused_env=True, compiled=True, fused_p_update=False)
+OPT3 = Preset("opt3", fused_env=True, compiled=True, fused_p_update=True)
 
 PRESETS: dict[str, Preset] = {p.name: p for p in (BASELINE, OPT1, OPT2, OPT3)}
 PRESET_ORDER = ["baseline", "opt1", "opt2", "opt3"]

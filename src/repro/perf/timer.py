@@ -130,21 +130,24 @@ def profile_from_events(
 def profile_update(
     model: DeePMD, opt: FEKF, batch: DescriptorBatch, preset: Preset
 ) -> UpdateProfile:
-    """Measure one energy-driven and one force-driven FEKF update under
-    the given optimization preset.
+    """Measure one energy-driven and one force-driven FEKF update of an
+    optimizer built for ``preset``.
 
     Runs a real ``opt.step_batch`` (paper-exact per-update protocol:
     force-graph reuse disabled for the duration) inside a
     kernel-capturing, op-profiling tracer and derives the profile from
     the span events via :func:`profile_from_events`; the op timeline's
-    live per-phase launch counts ride along as ``phase_kernels``.
+    live per-phase launch counts ride along as ``phase_kernels``.  A
+    compiled optimizer that has not traced yet first runs one untraced
+    step, so the profile measures a replayed step, not the trace.
     """
     old_reuse = opt.reuse_force_graph
     opt.reuse_force_graph = False
     try:
-        with preset.context():
-            with Tracer(capture_kernels=True, profile=True) as tracer:
-                opt.step_batch(batch)
+        if opt.compiled and opt.stats()["compiled"]["traces"] == 0:
+            opt.step_batch(batch)
+        with Tracer(capture_kernels=True, profile=True) as tracer:
+            opt.step_batch(batch)
     finally:
         opt.reuse_force_graph = old_reuse
     profile = profile_from_events(tracer.events, preset=preset.name)

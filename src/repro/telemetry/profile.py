@@ -194,11 +194,6 @@ def estimate_flops(op: str, out_shape, in_shapes) -> float:
     out = float(math.prod(out_shape))
     if op == "matmul" and in_shapes:
         return 2.0 * in_shapes[0][-1] * out
-    if op == "linear_fused" and in_shapes:
-        return (2.0 * in_shapes[0][-1] + 1.0) * out
-    if op in ("linear_tanh_fused", "residual_linear_tanh_fused") and in_shapes:
-        # matmul + bias + tanh (+ residual add)
-        return (2.0 * in_shapes[0][-1] + 1.0 + _TRANSCENDENTAL_FLOPS) * out
     if op in _ELEMENTWISE:
         return out
     if op in _TRANSCENDENTAL:

@@ -46,10 +46,9 @@ class TestAuditClean:
         self, cu_dataset, small_cfg
     ):
         """The tape-compiled engine must walk the exact eager trajectory:
-        same per-step state fingerprints, bit for bit (fused_env pinned
-        so both runs use the graph descriptor path)."""
+        same per-step state fingerprints, bit for bit."""
         eager = run_backend("serial", cu_dataset, small_cfg, world_size=2,
-                            steps=2, fused_env=False)
+                            steps=2)
         comp = run_backend("serial", cu_dataset, small_cfg, world_size=2,
                            steps=2, compiled=True)
         assert eager.fingerprints == comp.fingerprints

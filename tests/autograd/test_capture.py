@@ -124,15 +124,6 @@ class TestComposition:
 
 
 class TestDeprecatedShims:
-    def test_record_tape_warns_and_still_works(self):
-        from repro.analysis.graphlint import record_tape
-
-        with pytest.warns(DeprecationWarning, match="capture"):
-            cm = record_tape()
-        with cm as tape:
-            _forward()
-        assert len(tape) == 4
-
     def test_sanitizer_direct_context_manager_still_works(self):
         # the historical surface: Sanitizer() used directly as a CM
         with warnings.catch_warnings():

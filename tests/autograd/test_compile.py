@@ -182,3 +182,111 @@ class TestTelemetry:
         assert kc.launches.get("fused_chain", 0) > 0
         # far fewer launches than the traced op count for this section
         assert kc.total_launches < prog.stats.traced_ops
+
+
+class TestOpaqueOps:
+    """The Opt1 descriptor kernel and its vjp pair replay as opaque plan
+    steps: their own numpy, rerun on the bound batch arrays."""
+
+    @staticmethod
+    def _sections(sess, batch, cfg, stats, w, v):
+        from repro.model.environment import environment_fused
+
+        coords = Tensor(batch.coords, requires_grad=True)
+        with sess.section("fwd", inputs={"coords": coords, "w": w}) as sec:
+            rn = environment_fused(coords, batch, cfg, stats)
+            y = ops.tsum(ops.mul(rn, w))
+            (gc,) = grad(y, [coords], create_graph=True)
+            sec.outputs = [rn, gc]
+        with sess.section("gw") as sec:
+            (gw,) = grad(ops.tsum(ops.mul(gc, Tensor(v))), [w])
+            sec.outputs = [gw]
+        return rn, gc, gw
+
+    @staticmethod
+    def _setup(cu_dataset, small_cfg, frames):
+        from repro.model import make_batch
+        from repro.model.environment import compute_stats
+
+        stats = compute_stats(cu_dataset, small_cfg)
+        batch = make_batch(cu_dataset, np.asarray(frames), small_cfg)
+        rng = np.random.default_rng(0)
+        w = rng.normal(size=(small_cfg.nmax, 4))
+        v = rng.normal(size=batch.coords.shape)
+        return stats, batch, w, v
+
+    def _eager(self, batch, cfg, stats, w, v):
+        from repro.model.environment import environment_fused
+
+        coords = Tensor(batch.coords, requires_grad=True)
+        wt = Tensor(w, requires_grad=True)
+        rn = environment_fused(coords, batch, cfg, stats)
+        (gc,) = grad(ops.tsum(ops.mul(rn, wt)), [coords], create_graph=True)
+        (gw,) = grad(ops.tsum(ops.mul(gc, Tensor(v))), [wt])
+        return rn.data, gc.data, gw.data
+
+    def _trace(self, batch, cfg, stats, w, v):
+        sess = TraceSession(candidates={
+            "idx_flat": batch.idx_flat, "shift": batch.shift,
+            "mask": batch.mask,
+        })
+        with sess:
+            self._sections(sess, batch, cfg, stats,
+                           Tensor(w, requires_grad=True), v)
+        return compile_tape(sess)
+
+    @staticmethod
+    def _feeds(batch, w):
+        return {"coords": batch.coords, "w": w, "idx_flat": batch.idx_flat,
+                "shift": batch.shift, "mask": batch.mask}
+
+    def test_replay_matches_eager_on_a_new_batch(self, cu_dataset, small_cfg):
+        stats, batch, w, v = self._setup(cu_dataset, small_cfg, [0, 1, 2])
+        prog = self._trace(batch, small_cfg, stats, w, v)
+        other = self._setup(cu_dataset, small_cfg, [7, 4, 11])[1]
+        assert not np.array_equal(other.idx_flat, batch.idx_flat)
+        feeds = self._feeds(other, w)
+        rn, gc = prog.run("fwd", feeds)
+        (gw,) = prog.run("gw", feeds)
+        ref = self._eager(other, small_cfg, stats, w, v)
+        for got, want in zip((rn, gc, gw), ref):
+            assert np.array_equal(got, want)
+
+    def test_one_launch_each_and_intermediates_once_per_forward(
+        self, cu_dataset, small_cfg, monkeypatch
+    ):
+        from repro.autograd import KernelCounter
+        from repro.model import environment
+
+        stats, batch, w, v = self._setup(cu_dataset, small_cfg, [0, 1, 2])
+        prog = self._trace(batch, small_cfg, stats, w, v)
+        calls = []
+        real = environment.environment_np
+        monkeypatch.setattr(environment, "environment_np",
+                            lambda *a: calls.append(1) or real(*a))
+        feeds = self._feeds(batch, w)
+        with KernelCounter() as kc:
+            prog.run("fwd", feeds)
+            for _ in range(3):
+                prog.run("gw", feeds)
+        assert len(calls) == 1
+        assert kc.launches["env_fused"] == 1
+        assert kc.launches["env_bwd_fused"] == 1
+        assert kc.launches["env_bwd_transpose_fused"] == 3
+
+    def test_vjp_of_an_untraced_forward_is_unsupported(
+        self, cu_dataset, small_cfg
+    ):
+        from repro.model.environment import environment_fused
+
+        stats, batch, w, _ = self._setup(cu_dataset, small_cfg, [0, 1, 2])
+        coords = Tensor(batch.coords, requires_grad=True)
+        rn = environment_fused(coords, batch, small_cfg, stats)  # untraced
+        sess = TraceSession()
+        with sess:
+            with sess.section("bwd", inputs={"w": Tensor(w)}) as sec:
+                g = ops.mul(Tensor(np.ones(rn.shape)), sec.inputs["w"])
+                (gc,) = grad(rn, [coords], grad_output=g)
+                sec.outputs = [gc]
+        with pytest.raises(UnsupportedTrace, match="outside any section"):
+            compile_tape(sess)

@@ -7,7 +7,6 @@ from repro.autograd import (
     Tensor,
     check_gradients,
     check_second_order,
-    fuse,
     make_op,
     numerical_grad,
     ops,
@@ -76,19 +75,6 @@ class TestSecondOrder:
         check_second_order(
             lambda x, w: ops.tsum(ops.tanh(ops.matmul(x, w))),
             [rng.standard_normal((3, 4)) * 0.5, rng.standard_normal((4, 2)) * 0.5],
-        )
-
-    def test_accepts_fused_layer_dual_path(self):
-        """The fused DeePMD layer switches to its composed backward under
-        create_graph; the double-backward checker certifies that path."""
-        rng = np.random.default_rng(2)
-        check_second_order(
-            lambda x, W, b: ops.tsum(fuse.residual_linear_tanh_fused(x, W, b)),
-            [
-                rng.standard_normal((2, 3)) * 0.5,
-                rng.standard_normal((3, 3)) * 0.5,
-                rng.standard_normal(3) * 0.1,
-            ],
         )
 
     def test_rejects_graphless_backward(self):

@@ -109,6 +109,27 @@ class TestThreadLocalSinks:
         assert results == {"t0": 1, "t1": 2, "t2": 3}
         assert main_kc.total_launches == 0
 
+    def test_tape_on_one_thread_is_not_an_observer_on_another(self):
+        import threading
+
+        from repro.autograd import capture
+        from repro.autograd.instrument import tensors_wanted, thread_tensors_wanted
+
+        seen = {}
+
+        def worker():
+            seen["global"] = tensors_wanted()
+            seen["thread"] = thread_tensors_wanted()
+
+        with capture("tape"):
+            assert thread_tensors_wanted()
+            t = threading.Thread(target=worker)
+            t.start()
+            t.join(timeout=10)
+        assert not t.is_alive()
+        assert seen == {"global": True, "thread": False}
+        assert not thread_tensors_wanted()
+
     def test_counting_under_thread_executor(self, cu_model, cu_batch):
         """Regression: a main-thread KernelCounter used to crash or
         miscount when ThreadExecutor workers launched ops concurrently

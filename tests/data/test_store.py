@@ -1,9 +1,8 @@
-"""npz persistence round-trips (write_npz/read_npz + deprecated shims)."""
+"""npz persistence round-trips (write_npz/read_npz/open_source)."""
 
 import numpy as np
-import pytest
 
-from repro.data import load_dataset, read_npz, save_dataset, write_npz
+from repro.data import Dataset, open_source, read_npz, write_npz
 
 
 class TestRoundtrip:
@@ -43,16 +42,11 @@ class TestRoundtrip:
         assert read_npz(path).n_frames == 2
 
 
-class TestDeprecatedShims:
-    def test_save_dataset_warns_and_delegates(self, cu_dataset, tmp_path):
-        path = str(tmp_path / "old.npz")
-        with pytest.warns(DeprecationWarning, match="write_npz"):
-            save_dataset(cu_dataset, path)
-        assert np.array_equal(read_npz(path).positions, cu_dataset.positions)
-
-    def test_load_dataset_warns_and_delegates(self, cu_dataset, tmp_path):
-        path = str(tmp_path / "old2.npz")
+class TestOpenSource:
+    def test_npz_path_opens_as_dataset(self, cu_dataset, tmp_path):
+        path = str(tmp_path / "cu.npz")
         write_npz(cu_dataset, path)
-        with pytest.warns(DeprecationWarning, match="read_npz"):
-            back = load_dataset(path)
+        back = open_source(path)
+        assert isinstance(back, Dataset)
         assert np.array_equal(back.positions, cu_dataset.positions)
+        assert np.array_equal(back.forces, cu_dataset.forces)

@@ -1,12 +1,17 @@
 """Compiled FEKF steps: bit-identity, plan invalidation, resume, fallbacks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.autograd import capture
+from repro.analysis import state_fingerprint
+from repro.autograd import KernelCounter, capture
 from repro.autograd.config import config as autograd_config
 from repro.model import DeePMD, make_batch
 from repro.optim import FEKF, KalmanConfig, load_state, make_optimizer, save_state
+from repro.parallel import DistributedFEKF
+from repro.telemetry.trace import Tracer
 
 
 def _kcfg():
@@ -97,13 +102,91 @@ class TestFallbacks:
         st = comp.stats()["compiled"]
         assert st["fallbacks"] > 0
 
-    def test_fused_env_disables_engine(self, cu_dataset, small_cfg, cu_batch):
-        _, opt = _opt(cu_dataset, small_cfg, compiled=True, fused_env=True)
-        opt.step_batch(cu_batch)
+    def test_type_aware_disables_engine(self, nacl_dataset, tiny_cfg):
+        cfg = replace(tiny_cfg, type_aware=True)
+        batch = make_batch(nacl_dataset, np.arange(2), cfg)
+        _, opt = _opt(nacl_dataset, cfg, compiled=True, fused_env=True)
+        opt.step_batch(batch)
         st = opt.stats()["compiled"]
         assert not st["enabled"]
-        assert st["disabled_reason"] == "fused_env"
-        assert st["replays"] == 0
+        assert st["disabled_reason"] == "type_aware"
+        assert st["replays"] == 0 and st["fallbacks"] > 0
+
+
+class TestOpt1Replay:
+    """``fused_env=True`` + ``compiled=True``: the hand-derived Opt1
+    descriptor kernel and its vjp pair replay as opaque plan steps, so
+    every optimisation runs together without fallbacks."""
+
+    @pytest.mark.parametrize("reuse", [True, False], ids=["shared", "fresh"])
+    def test_replay_matches_eager_fused_env(self, cu_dataset, small_cfg, reuse):
+        a = make_batch(cu_dataset, np.arange(4), small_cfg)
+        b = make_batch(cu_dataset, np.array([9, 5, 2, 7]), small_cfg)
+        batches = [a, b, a, b, b]
+        m_e, eager = _opt(cu_dataset, small_cfg, compiled=False,
+                          fused_env=True, reuse_force_graph=reuse)
+        m_c, comp = _opt(cu_dataset, small_cfg, compiled=True,
+                         fused_env=True, reuse_force_graph=reuse)
+        assert _run(eager, batches) == _run(comp, batches)
+        # weights and the full filter state (P included), bit for bit
+        assert state_fingerprint(eager, m_e) == state_fingerprint(comp, m_c)
+        st = comp.stats()["compiled"]
+        assert st["enabled"] and "disabled_reason" not in st
+        assert st["traces"] == 1 and st["compiles"] == 1
+        assert st["replays"] > 0 and st["fallbacks"] == 0
+
+    def test_env_ops_are_plan_steps(self, cu_dataset, small_cfg, cu_batch):
+        counts = {}
+        for compiled in (False, True):
+            _, opt = _opt(cu_dataset, small_cfg, compiled=compiled,
+                          fused_env=True)
+            _run(opt, [cu_batch] * 2)
+            with KernelCounter() as kc:
+                opt.step_batch(cu_batch)
+            counts[compiled] = kc.launches
+        # the replay launches each Opt1 kernel exactly where eager does,
+        # while the elementwise chains around it fuse
+        for op in ("env_fused", "env_bwd_fused", "env_bwd_transpose_fused"):
+            assert counts[True][op] == counts[False][op] > 0
+        assert counts[True]["fused_chain"] > 0
+        assert sum(counts[True].values()) < sum(counts[False].values())
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_distributed_executors_replay_bitwise(self, cu_dataset, small_cfg,
+                                                  executor):
+        batch = make_batch(cu_dataset, np.arange(4), small_cfg)
+
+        def dist(compiled, ex):
+            model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
+            return model, DistributedFEKF(
+                model, world_size=2, kalman_cfg=_kcfg(), seed=11,
+                executor=ex, fused_env=True, compiled=compiled,
+            )
+
+        m_e, eager = dist(False, "serial")
+        m_c, comp = dist(True, executor)
+        try:
+            ref = []
+            for _ in range(3):
+                eager.step_batch(batch)
+                ref.append(state_fingerprint(eager, m_e))
+            got = []
+            comp.step_batch(batch)  # the trace step
+            got.append(state_fingerprint(comp, m_c))
+            with Tracer(keep_events=True) as tr:
+                for _ in range(2):
+                    comp.step_batch(batch)
+                    got.append(state_fingerprint(comp, m_c))
+        finally:
+            eager.close()
+            comp.close()
+        assert got == ref
+        # every rank-side forward of the replayed steps came from a plan
+        # (a fallback runs it eager, without the ``compiled`` tag)
+        fwd = [e for e in tr.events
+               if e.name == "fekf.forward" and "executor" in e.attrs]
+        assert {e.attrs["rank"] for e in fwd} == {0, 1}
+        assert all(e.attrs.get("compiled") == 1 for e in fwd)
 
 
 class TestConfigPlumbing:

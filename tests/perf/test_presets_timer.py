@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.autograd.config import config as ag_config
 from repro.model import make_batch
 from repro.optim import FEKF
 from repro.perf import PRESET_ORDER, PRESETS, profile_update
@@ -15,17 +14,16 @@ class TestPresets:
 
     def test_monotone_feature_enablement(self):
         flags = [
-            (p.fused_env, p.fused_layers, p.fused_p_update)
+            (p.fused_env, p.compiled, p.fused_p_update)
             for p in (PRESETS[n] for n in PRESET_ORDER)
         ]
         for a, b in zip(flags, flags[1:]):
             assert all(x <= y for x, y in zip(a, b))
 
-    def test_context_toggles_layer_fusion(self):
-        assert not ag_config.fused_elementwise
-        with PRESETS["opt2"].context():
-            assert ag_config.fused_elementwise
-        assert not ag_config.fused_elementwise
+    def test_opt2_is_opt1_plus_compiled(self):
+        opt1, opt2 = PRESETS["opt1"], PRESETS["opt2"]
+        assert opt2.fused_env and opt2.compiled and not opt1.compiled
+        assert opt2.fused_p_update == opt1.fused_p_update
 
     def test_kalman_config_override(self):
         cfg = PRESETS["opt3"].kalman_config(blocksize=512)
@@ -41,7 +39,7 @@ class TestProfiler:
         for name in ("baseline", "opt3"):
             preset = PRESETS[name]
             opt = FEKF(cu_model, preset.kalman_config(blocksize=1024),
-                       fused_env=preset.fused_env)
+                       fused_env=preset.fused_env, compiled=preset.compiled)
             out[name] = profile_update(cu_model, opt, batch, preset)
         return out
 
@@ -87,7 +85,7 @@ class TestProfilerReconciliation:
         assert batch.n_atoms % 4 == 0
         preset = PRESETS[preset_name]
         opt = FEKF(cu_model, preset.kalman_config(blocksize=1024),
-                   fused_env=preset.fused_env)
+                   fused_env=preset.fused_env, compiled=preset.compiled)
         prof = profile_update(cu_model, opt, batch, preset)
         pk = prof.phase_kernels
         assert pk["forward_energy"] == prof.energy.forward_kernels
